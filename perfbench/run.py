@@ -18,10 +18,10 @@ workloads also run a short fixed reference slice each (their first rounds),
 interleaved with the chosen workload's rounds; ``peak_rss_mb`` is the
 process's peak over all of it.
 
-``--trace 1`` measures the per-layer metrics: the workload first runs its
-reference slice untraced, then its rounds with the layer wrappers of
-``perfbench/layers.py`` installed; ``obs.trace_overhead`` compares the two
-on the same rounds.  It prints a layer table.
+``--trace 1`` measures the per-layer metrics: the workload runs its rounds
+with the layer wrappers of ``perfbench/layers.py`` installed, the first ones
+each right after an untraced twin on a second set-up, and
+``obs.trace_overhead`` compares the twins.  It prints a layer table.
 
 Both modes check every output, print the seed and a fingerprint of the
 measured rounds (a digest of their result rows, their leaking points and,
@@ -213,27 +213,30 @@ def traced_run(name: str, seed: int, seconds: float, scratch: Path):
     from workloads import WORKLOADS
 
     cls = WORKLOADS[name]
-    reference = cls(seed, scratch)
-    count = main_rounds(reference, seconds)
-    reference.setup()
-    try:
-        untraced = [reference.run_round(i) for i in range(min(count, reference.slice_rounds))]
-    finally:
-        reference.teardown()
-
+    reference = cls(seed, scratch / "untraced")
     workload = cls(seed, scratch)
-    tracer = Tracer() if name == "grid-supervised" else None
-    workload.setup(tracer)
+    count = main_rounds(workload, seconds)
     probe = LayerProbe()
-    probe.install()
-    try:
-        start = time.perf_counter()
-        rounds = [workload.run_round(i) for i in range(count)]
-        wall = time.perf_counter() - start
-    finally:
-        probe.uninstall()
-        workload.teardown()
-    # The same leading rounds, traced and untraced, on fresh set-ups.
+    tracer = Tracer() if name == "grid-supervised" else None
+    untraced, rounds = [], []
+    wall = 0.0
+    with contextlib.ExitStack() as stack:
+        reference.setup()
+        stack.callback(reference.teardown)
+        workload.setup(tracer)
+        stack.callback(workload.teardown)
+        # Each traced round runs right after its untraced twin, so host
+        # speed drift cancels out of obs.trace_overhead.
+        for index in range(count):
+            if index < reference.slice_rounds:
+                untraced.append(reference.run_round(index))
+            probe.install()
+            try:
+                start = time.perf_counter()
+                rounds.append(workload.run_round(index))
+                wall += time.perf_counter() - start
+            finally:
+                probe.uninstall()
     traced_wall = sum(r.wall for r in rounds[: len(untraced)])
     overhead = traced_wall / sum(r.wall for r in untraced) - 1.0
     measured = probe.snapshot()
