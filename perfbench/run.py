@@ -6,22 +6,24 @@ Run from the root of a checkout; the program is imported from ``src/``.
 ``BENCHMARK.json`` at the root names the workloads and the metrics, and
 ``perfbench/workloads.py`` says why each workload was chosen.
 
-``--seconds`` sets how much work the chosen workload measures: the number of
-whole seeded rounds that take that long on the reference box (two CPUs).
-The work is a function of the seed and ``--seconds`` alone, so every run
-with the same arguments does identical work whatever the program's speed.
+``--seconds`` sets how much work a run measures: the number of whole seeded
+rounds that take that long on the reference box (two CPUs).  The work is a
+function of the seed and ``--seconds`` alone, so every run with the same
+arguments does identical work whatever the program's speed.
 
 ``--trace 0`` measures the end-to-end metrics with no instrumentation.
 ``setup_s`` (imports plus the median of three set-ups) belongs to the chosen
-workload.  Every run must report every end-to-end metric, so the other three
-workloads also run a short fixed reference slice each (their first rounds),
-interleaved with the chosen workload's rounds; ``peak_rss_mb`` is the
-process's peak over all of it.
+workload.  Every run must report every end-to-end metric, so every run runs
+all four workloads: the seconds are shared out by each workload's weight,
+the chosen one's counting twice, and the rounds of all four are interleaved
+evenly over the whole run, so each metric samples the host at many moments
+of it.  ``peak_rss_mb`` is the process's peak over all of it.
 
-``--trace 1`` measures the per-layer metrics: the workload runs its rounds
-with the layer wrappers of ``perfbench/layers.py`` installed, the first ones
-each right after an untraced twin on a second set-up, and
-``obs.trace_overhead`` compares the twins.  It prints a layer table.
+``--trace 1`` measures the per-layer metrics: the chosen workload runs the
+rounds it gets in an untraced run with the layer wrappers of
+``perfbench/layers.py`` installed, the first half of them each right after
+an untraced twin on a second set-up, and ``obs.trace_overhead`` compares
+the twins.  It prints a layer table.
 
 Both modes check every output, print the seed and a fingerprint of the
 measured rounds (a digest of their result rows, their leaking points and,
@@ -36,11 +38,13 @@ _STARTED = time.perf_counter()
 
 import argparse  # noqa: E402 - the clock above must start before imports
 import contextlib  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
 import os  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -123,9 +127,23 @@ def load_program() -> None:
     import workloads  # noqa: F401
 
 
-def main_rounds(workload, seconds: float) -> int:
-    """Whole rounds that take ``seconds`` on the reference box."""
-    return max(workload.min_rounds, round(seconds / workload.round_s))
+def plan_rounds(chosen: str, seconds: float) -> Dict[str, int]:
+    """Each workload's rounds in a run of ``seconds`` on the reference box.
+
+    The seconds are shared out by weight, the chosen workload's counting
+    twice.
+    """
+    from workloads import WORKLOADS
+
+    weights = {
+        name: cls.weight * (2 if name == chosen else 1) for name, cls in WORKLOADS.items()
+    }
+    plan = {}
+    for name, cls in WORKLOADS.items():
+        share = seconds * weights[name] / sum(weights.values())
+        quanta = round(share / cls.round_s / cls.round_quantum)
+        plan[name] = max(cls.min_rounds, quanta * cls.round_quantum)
+    return plan
 
 
 def interleave(plan: Dict[object, int]) -> list:
@@ -143,6 +161,34 @@ def interleave(plan: Dict[object, int]) -> list:
     return [workload for _, _, workload in sorted(slots, key=lambda slot: slot[:2])]
 
 
+@contextlib.contextmanager
+def frozen_heap():
+    """Keep what set-up built out of the collector's sight while rounds run.
+
+    A full collection walks every object the collector tracks.  Freezing the
+    set-up's objects (the program's modules, engines, pool, service) leaves
+    each collection inside a round with little more than the round's own
+    objects, as in a process that runs one workload alone.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
+def play(workload, index: int):
+    """Round ``index`` of ``workload``, run from a clean collector and sealed.
+
+    Collecting first makes every round start with empty young generations,
+    so the collector's work inside a round depends on that round alone, not
+    on what the rounds before it left behind.
+    """
+    gc.collect()
+    return workload.run_round(index).seal()
+
+
 def fingerprint(workload, rounds, counts: Dict[str, float]) -> Dict[str, object]:
     """The measured rounds' identity: equal for equal seeds and seconds."""
     from workloads import digest
@@ -151,7 +197,7 @@ def fingerprint(workload, rounds, counts: Dict[str, float]) -> Dict[str, object]
         "workload": workload.name,
         "seed": workload.seed,
         "rounds": len(rounds),
-        "rows_sha256": digest([row for r in rounds for row in r.rows]),
+        "rows_sha256": digest([r.digest for r in rounds]),
     }
     for r in rounds:
         for name, value in r.counts.items():
@@ -161,7 +207,7 @@ def fingerprint(workload, rounds, counts: Dict[str, float]) -> Dict[str, object]
 
 
 def measured_run(name: str, seed: int, seconds: float, scratch: Path, import_s: float):
-    """The untraced run: the workload's rounds with the reference slices."""
+    """The untraced run: every workload's rounds, interleaved."""
     from workloads import WORKLOADS
 
     workload = WORKLOADS[name](seed, scratch)
@@ -174,17 +220,19 @@ def measured_run(name: str, seed: int, seconds: float, scratch: Path, import_s: 
             if trial < SETUP_TRIALS - 1:
                 workload.teardown()
         stack.callback(workload.teardown)
-        plan = {workload: main_rounds(workload, seconds)}
+        counts = plan_rounds(name, seconds)
+        plan = {workload: counts[name]}
         for other_name, other_cls in WORKLOADS.items():
             if other_name != name:
                 other = other_cls(seed, scratch)
                 other.setup()
                 stack.callback(other.teardown)
-                plan[other] = other.slice_rounds
+                plan[other] = counts[other_name]
+        stack.enter_context(frozen_heap())
         active = list(plan)
         rounds: Dict[object, list] = {each: [] for each in active}
         for each in interleave(plan):
-            rounds[each].append(each.run_round(len(rounds[each])))
+            rounds[each].append(play(each, len(rounds[each])))
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     metrics = {"setup_s": import_s + statistics.median(setups), "peak_rss_mb": peak_rss_mb}
     attempted = failed = 0
@@ -215,7 +263,8 @@ def traced_run(name: str, seed: int, seconds: float, scratch: Path):
     cls = WORKLOADS[name]
     reference = cls(seed, scratch / "untraced")
     workload = cls(seed, scratch)
-    count = main_rounds(workload, seconds)
+    count = plan_rounds(name, seconds)[name]
+    twins = max(cls.round_quantum, count // 2 // cls.round_quantum * cls.round_quantum)
     probe = LayerProbe()
     tracer = Tracer() if name == "grid-supervised" else None
     untraced, rounds = [], []
@@ -225,18 +274,21 @@ def traced_run(name: str, seed: int, seconds: float, scratch: Path):
         stack.callback(reference.teardown)
         workload.setup(tracer)
         stack.callback(workload.teardown)
+        stack.enter_context(frozen_heap())
         # Each traced round runs right after its untraced twin, so host
         # speed drift cancels out of obs.trace_overhead.
         for index in range(count):
-            if index < reference.slice_rounds:
-                untraced.append(reference.run_round(index))
+            if index < twins:
+                untraced.append(play(reference, index))
+            gc.collect()
             probe.install()
             try:
                 start = time.perf_counter()
-                rounds.append(workload.run_round(index))
+                record = workload.run_round(index)
                 wall += time.perf_counter() - start
             finally:
                 probe.uninstall()
+            rounds.append(record.seal())
     traced_wall = sum(r.wall for r in rounds[: len(untraced)])
     overhead = traced_wall / sum(r.wall for r in untraced) - 1.0
     measured = probe.snapshot()
@@ -306,5 +358,12 @@ def main(argv=None) -> int:
     return 0
 
 
+def terminate(signum, frame) -> None:
+    """Unwind a termination request like an error, so every engine, pool,
+    service and scratch directory is still closed on the way out."""
+    raise SystemExit(128 + signum)
+
+
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, terminate)
     sys.exit(main())

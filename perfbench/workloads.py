@@ -2,30 +2,36 @@
 
 Each workload drives ``repro``'s public API from this one process, with at
 most two pool workers or two client threads (the reference box has two
-CPUs).  Every workload is split into *rounds*: a round is a fixed block of
-work derived from ``(seed, round index)``, and a run measures a number of
-whole rounds, so the same seed always feeds the program the same inputs.
+CPUs).  Every workload is split into *rounds*: a round is a short, fixed
+block of work derived from ``(seed, round index)``, and a run measures a
+number of whole rounds, so the same seed always feeds the program the same
+inputs.  Rounds are kept short (a tenth to a few tenths of a second) so a
+run can spread many of them over its whole length: the reference box's
+speed swings by a third over seconds, and a metric sampled at many moments
+of a run moves far less from run to run than one sampled at a few.
 
 Why these four, and which layers each loads or bypasses:
 
 ``fuzz-sweep``
-    Serial ``fuzz_campaign`` rounds, one fresh in-memory engine per
-    campaign, no store.  Every program goes generator -> TSG verdict ->
-    timing race -> decoded byte, so the simulator's compute layers
+    Serial ``fuzz_campaign`` rounds of 50 programs, one fresh in-memory
+    engine per campaign, no store.  Every program goes generator -> TSG
+    verdict -> timing race -> decoded byte, so the simulator's compute layers
     (``channels`` + ``uarch.cache``, ``uarch.pipeline``, ``uarch.timing``,
     ``graphtool``, ``core``, ``fuzz``) do nearly all the work; the pool, the
     store and the service do none.
 ``grid-supervised``
     The ``simulate`` grid of registry attacks x {undefended + every
-    ``SimDefense``} x {default, contended, serialized} with one secret per
-    round, run by ``Engine.run_grid(parallel=2)`` under a ``FailurePolicy``
-    into a fresh ``DiskStore``, then resumed from that store by fresh
-    engines (``repro run --parallel 2 --timeout ... --resume``).  The
-    execution plane (``engine``) and the ``store`` dominate; the cold pass
-    writes the store and the resume passes read it.
+    ``SimDefense``} x {default, contended, serialized} for one seeded
+    secret, run by ``Engine.run_grid(parallel=2)`` under a ``FailurePolicy``
+    into a fresh ``DiskStore`` in six 95-point parts, then resumed whole
+    from that store by fresh engines (``repro run --parallel 2 --timeout
+    ... --resume``).  The execution plane (``engine``) and the
+    ``store`` dominate; the cold passes write the store and the resume
+    passes read it.
 ``analyze-corpus``
     Cold Figure-9 analysis of a seeded stream of distinct multi-gadget
-    victims (Listing-1/2 shapes, 1 to 32 gadgets) on one serial engine.
+    victims (Listing-1/2 shapes, 1 to 32 gadgets) on a serial engine, a
+    fresh one per round of 25 victims.
     ``isa``, ``graphtool`` and ``core`` do all the work; nothing is
     simulated and no pool or store exists, so a simulator-only change must
     leave it flat.
@@ -75,12 +81,20 @@ GRID_WORKERS = 2
 #: The grid's failure policy: a generous timeout (a hung point is a bug, not
 #: a slow run), the default retry budget, quarantine on exhaustion.
 GRID_POLICY = FailurePolicy(timeout=60.0)
-#: Fresh-engine resumes per grid round; ``grid_resume_s`` is their median
-#: (one resume is a tenth of a second, short enough for host noise to rule).
-RESUME_PASSES = 5
+#: The cold pass of a grid runs in these parts, one round each: a timing
+#: model and half of the defense axis, 95 points.
+GRID_PARTS: Tuple[Tuple[str, Tuple[Optional[Tuple[str, ...]], ...]], ...] = tuple(
+    (model, half)
+    for model in MODELS
+    for half in (DEFENSES[: len(DEFENSES) // 2], DEFENSES[len(DEFENSES) // 2:])
+)
+#: Fresh-engine resumes of each whole grid, one round each, after its cold
+#: parts; ``grid_resume_s`` is their mean.  A resume lasts under a tenth of
+#: a second, so it takes many, spread over the run, to steady it.
+RESUME_PASSES = 8
 
 #: Programs per fuzz campaign (one round).
-FUZZ_PROGRAMS = 150
+FUZZ_PROGRAMS = 50
 
 #: Requests per service round, split evenly between the two clients: the
 #: fewest that leave ten samples beyond the round's p95.
@@ -112,6 +126,12 @@ def digest(rows: List[object]) -> str:
     """SHA-256 of the canonical JSON rendering of ``rows``."""
     blob = json.dumps(rows, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def rate(rounds: List["Round"]) -> float:
+    """Operations per second of the rounds' summed timed wall: a throughput
+    over the whole run, each round weighing by its work."""
+    return sum(r.ops for r in rounds) / sum(r.wall for r in rounds)
 
 
 def percentile(samples: List[float], fraction: float) -> float:
@@ -208,13 +228,22 @@ class Round:
     wall: float = 0.0
     #: Per-operation latencies in milliseconds (latency workloads only).
     latencies_ms: List[float] = field(default_factory=list)
-    #: Plain-data rows of every result, for the fingerprint digest.
+    #: Plain-data rows of every result, until :meth:`seal` digests them.
     rows: List[object] = field(default_factory=list)
+    #: SHA-256 of the rows, for the fingerprint.
+    digest: str = ""
     #: Exact counts read off the results: leaking points, and for the grid
     #: the simulated counts its payloads carry back from the pool workers.
     counts: Dict[str, int] = field(default_factory=dict)
     #: Seconds of each of the grid's resume passes.
     resume_walls: List[float] = field(default_factory=list)
+
+    def seal(self) -> "Round":
+        """Swap the rows for their digest, so a run's heap does not grow with
+        its rounds (a bigger heap makes every full collection slower)."""
+        self.digest = digest(self.rows)
+        self.rows = []
+        return self
 
 
 class Workload:
@@ -224,12 +253,14 @@ class Workload:
     #: Seconds one round takes on the reference box: a run's length in
     #: seconds becomes a number of rounds through it.
     round_s = 1.0
+    #: The workload's share of every run, relative to the others' (the
+    #: chosen workload's weight counts twice).
+    weight = 1.0
     #: Rounds needed before the workload's percentiles have at least ten
     #: samples beyond them.
     min_rounds = 1
-    #: Rounds of the reference slice the other workloads' runs include (and
-    #: of the untraced reference a traced run compares itself with).
-    slice_rounds = 1
+    #: A run's rounds are a whole multiple of this.
+    round_quantum = 1
 
     def __init__(self, seed: int, scratch: Path) -> None:
         self.seed = seed
@@ -283,8 +314,7 @@ class Workload:
 # ---------------------------------------------------------------------------
 class FuzzSweep(Workload):
     name = "fuzz-sweep"
-    round_s = 0.4
-    slice_rounds = 6
+    round_s = 0.13
 
     def run_round(self, index: int) -> Round:
         points = []
@@ -320,16 +350,25 @@ class FuzzSweep(Workload):
         return record
 
     def metrics(self, rounds: List[Round]) -> Dict[str, float]:
-        return {"fuzz_programs_per_s": statistics.median(r.ops / r.wall for r in rounds)}
+        return {"fuzz_programs_per_s": rate(rounds)}
 
 
 # ---------------------------------------------------------------------------
 # grid-supervised
 # ---------------------------------------------------------------------------
 class GridSupervised(Workload):
+    """Each grid (one seeded secret) takes fourteen rounds: the cold passes of
+    its six :data:`GRID_PARTS`, then :data:`RESUME_PASSES` whole-grid
+    resumes from the store.  Short rounds let the grid sample the whole run
+    as the other workloads do, and every grid loads each part alike.
+    """
+
     name = "grid-supervised"
-    round_s = 2.5
-    slice_rounds = 2
+    round_s = 0.2
+    weight = 1.5
+    round_quantum = len(GRID_PARTS) + RESUME_PASSES
+    #: Two whole grids: one grid samples too few moments of a run.
+    min_rounds = 2 * round_quantum
 
     def setup(self, tracer: Optional[Tracer] = None) -> None:
         super().setup()
@@ -349,55 +388,75 @@ class GridSupervised(Workload):
         #: Worker-seconds the pool offered during the cold passes.
         self.pool_capacity_s = 0.0
 
-    def grid(self, index: int) -> ScenarioGrid:
-        secret = 0x20 + derive(self.seed, "grid", index) % 0xD0
-        return ScenarioGrid(
-            "simulate",
-            axes={
-                "attack": list(ATTACKS),
-                "defenses": list(DEFENSES),
-                "model": list(MODELS),
-                "secret": [secret],
-            },
-        )
+    def grid(self, number: int, parts=GRID_PARTS) -> ScenarioGrid:
+        """The points of grid ``number`` in ``parts``.  Model-major, then
+        defenses: the whole grid's rows are its parts' rows end to end."""
+        secret = 0x20 + derive(self.seed, "grid", number) % 0xD0
+        return ScenarioGrid.explicit([
+            ScenarioSpec("simulate", model=model, defenses=defenses, attack=attack, secret=secret)
+            for model, half in parts
+            for defenses in half
+            for attack in ATTACKS
+        ])
 
     def run_round(self, index: int) -> Round:
-        grid = self.grid(index)
-        self.store.clear()
+        number, step = divmod(index, self.round_quantum)
+        if step < len(GRID_PARTS):
+            return self.cold_part(number, step)
+        return self.resume(number)
+
+    def cold_part(self, number: int, step: int) -> Round:
+        if step == 0:
+            self.store.clear()
+            self.cold_rows: List[str] = []
+        part = self.grid(number, GRID_PARTS[step : step + 1])
         start = time.perf_counter()
-        cold = self.engine.run_grid(grid, parallel=GRID_WORKERS)
+        cold = self.engine.run_grid(part, parallel=GRID_WORKERS)
         wall = time.perf_counter() - start
         self.pool_capacity_s += GRID_WORKERS * wall
-        self.store_bytes += self.store.stats()["bytes"]
-        points = len(grid)
-        record = Round(ops=points, wall=wall)
+        record = Round(ops=len(part), wall=wall)
         record.failed += cold.data.get("quarantined", 0)
-        cold_rows = [json.dumps(row, sort_keys=True, default=str) for row in cold.data["rows"]]
-        for _ in range(RESUME_PASSES):
-            fresh_store = DiskStore(root=self.root, version="cold")
-            with Engine(store=fresh_store, policy=GRID_POLICY, parallel=GRID_WORKERS) as fresh:
-                start = time.perf_counter()
-                warm = fresh.run_grid(grid, parallel=GRID_WORKERS)
-                record.resume_walls.append(time.perf_counter() - start)
-                resumed = fresh.stats()["grid"]["resumed"]
-            record.ops += points
-            if resumed != points:
-                record.failed += points - resumed
-                self.fail(f"grid round {index}: resumed {resumed} of {points} points")
-            for cold_row, warm_row in zip(cold_rows, warm.data["rows"]):
-                if cold_row != json.dumps(warm_row, sort_keys=True, default=str):
-                    record.failed += 1
-                    self.fail(f"grid round {index}: {cold_row[:80]} resumed differently")
         record.rows = cold.data["rows"]
+        self.cold_rows += [json.dumps(row, sort_keys=True, default=str) for row in record.rows]
         payloads = [result.payload for result in cold.payload if result.payload]
         record.counts = {
             "leaking": sum(
-                1 for row in cold.data["rows"] if row["data"].get("transmit_beats_squash")
+                1 for row in record.rows if row["data"].get("transmit_beats_squash")
             ),
             "victim_trace_cycles": sum(p.timing.cycles for p in payloads),
             "victim_trace_ops": sum(len(p.timing.ops) for p in payloads),
             "sim_instructions": sum(p.stats.instructions_retired for p in payloads),
         }
+        if step == len(GRID_PARTS) - 1:
+            self.store_bytes += self.store.stats()["bytes"]
+        return record
+
+    def resume(self, number: int) -> Round:
+        """Resume the whole grid ``number`` from the store with a fresh engine."""
+        grid = self.grid(number)
+        points = len(grid)
+        record = Round(ops=points)
+        with Engine(
+            store=DiskStore(root=self.root, version="cold"),
+            policy=GRID_POLICY,
+            parallel=GRID_WORKERS,
+        ) as fresh:
+            start = time.perf_counter()
+            warm = fresh.run_grid(grid, parallel=GRID_WORKERS)
+            record.wall = time.perf_counter() - start
+            record.resume_walls.append(record.wall)
+            resumed = fresh.stats()["grid"]["resumed"]
+        if resumed != points:
+            record.failed += points - resumed
+            self.fail(f"grid {number}: resumed {resumed} of {points} points")
+        warm_rows = [json.dumps(row, sort_keys=True, default=str) for row in warm.data["rows"]]
+        if len(warm_rows) != len(self.cold_rows):
+            record.failed += points
+            self.fail(f"grid {number}: resumed {len(warm_rows)} rows of {len(self.cold_rows)}")
+        for cold_row, warm_row in zip(self.cold_rows, warm_rows):
+            if cold_row != warm_row:
+                record.failed += 1
+                self.fail(f"grid {number}: {cold_row[:80]} resumed differently")
         return record
 
     def collect_stats(self) -> None:
@@ -406,8 +465,8 @@ class GridSupervised(Workload):
 
     def metrics(self, rounds: List[Round]) -> Dict[str, float]:
         return {
-            "grid_points_per_s": statistics.median(len(r.rows) / r.wall for r in rounds),
-            "grid_resume_s": statistics.median(s for r in rounds for s in r.resume_walls),
+            "grid_points_per_s": rate([r for r in rounds if not r.resume_walls]),
+            "grid_resume_s": statistics.mean(s for r in rounds for s in r.resume_walls),
         }
 
 
@@ -415,16 +474,17 @@ class GridSupervised(Workload):
 # analyze-corpus
 # ---------------------------------------------------------------------------
 class AnalyzeCorpus(Workload):
+    """Each round analyzes on its own fresh engine.  The engine keeps every
+    report it made, so one engine for a whole run would grow the heap by
+    tens of thousands of objects a round, and the cyclic collector's full
+    passes -- landing on whichever analysis is running -- would make a
+    victim's latency depend on how many came before it in the run.
+    """
+
     name = "analyze-corpus"
-    round_s = 0.22
+    round_s = 0.25
     #: Four whole rounds are 100 programs: ten beyond the p90.
     min_rounds = 4
-    slice_rounds = 8
-
-    def setup(self, tracer: Optional[Tracer] = None) -> None:
-        super().setup()
-        self.engine = self.resources.enter_context(Engine())
-        self.resources.callback(self.count_cache, self.engine)
 
     def programs(self, index: int) -> List[Tuple[str, str, bool]]:
         rng = random.Random(derive(self.seed, "analyze", index))
@@ -438,28 +498,32 @@ class AnalyzeCorpus(Workload):
     def run_round(self, index: int) -> Round:
         record = Round()
         programs = self.programs(index)
-        round_start = time.perf_counter()
-        for name, text, planted in programs:
-            spec = ScenarioSpec("analyze", program=text, name=name)
-            start = time.perf_counter()
-            try:
-                result = self.engine.run(spec)
-            except Exception as exc:  # a raising analysis is a failed operation
-                record.failed += 1
-                self.fail(f"analyze {name}: {type(exc).__name__}: {exc}")
-                continue
-            finally:
-                record.latencies_ms.append((time.perf_counter() - start) * 1e3)
-                record.ops += 1
-            data = result.data
-            if data["vulnerable"] != planted:
-                record.failed += 1
-                self.fail(f"analyze {name}: vulnerable={data['vulnerable']}, planted {planted}")
-            record.rows.append(
-                [name, data["vulnerable"], data["classification"], data["vertices"],
-                 data["edges"], data["racing_pairs"], len(data["findings"])]
-            )
-        record.wall = time.perf_counter() - round_start
+        with Engine() as engine:
+            round_start = time.perf_counter()
+            for name, text, planted in programs:
+                spec = ScenarioSpec("analyze", program=text, name=name)
+                start = time.perf_counter()
+                try:
+                    result = engine.run(spec)
+                except Exception as exc:  # a raising analysis is a failed operation
+                    record.failed += 1
+                    self.fail(f"analyze {name}: {type(exc).__name__}: {exc}")
+                    continue
+                finally:
+                    record.latencies_ms.append((time.perf_counter() - start) * 1e3)
+                    record.ops += 1
+                data = result.data
+                if data["vulnerable"] != planted:
+                    record.failed += 1
+                    self.fail(
+                        f"analyze {name}: vulnerable={data['vulnerable']}, planted {planted}"
+                    )
+                record.rows.append(
+                    [name, data["vulnerable"], data["classification"], data["vertices"],
+                     data["edges"], data["racing_pairs"], len(data["findings"])]
+                )
+            record.wall = time.perf_counter() - round_start
+            self.count_cache(engine)
         record.counts["leaking"] = sum(1 for row in record.rows if row[1])
         return record
 
@@ -477,11 +541,12 @@ class AnalyzeCorpus(Workload):
 class ServiceMixed(Workload):
     name = "service-mixed"
     round_s = 1.3
+    weight = 2.0
     #: The latency percentiles are per round, reported as their median over
-    #: at least five rounds: host stalls hit the service's thread handoffs
-    #: hardest, and one stalled round must not carry the run's tail.
-    min_rounds = 5
-    slice_rounds = 5
+    #: the run's rounds: the host's slow spells stall the service's thread
+    #: handoffs hardest, and a spell over a few rounds must not carry the
+    #: run's tail.
+    min_rounds = 3
 
     def setup(self, tracer: Optional[Tracer] = None) -> None:
         super().setup()
@@ -492,10 +557,8 @@ class ServiceMixed(Workload):
         # Stopping drains the service; the engine it was handed is closed
         # after that, here: a ServiceThread only closes engines it created.
         self.server = self.resources.enter_context(ServiceThread(engine=self.engine))
-        #: Every distinct spec sent, by content hash, with the result the
-        #: service returned for it (checked against a direct Engine.run).
-        self.sent: Dict[str, ScenarioSpec] = {}
-        self.answers: Dict[str, Dict[str, object]] = {}
+        #: The content hash of every distinct spec sent.
+        self.sent: set = set()
         #: Server-side envelope latencies: (queue, compute, total) ms and the
         #: client-observed latency, per completed request.
         self.envelopes: List[Tuple[float, float, float, float]] = []
@@ -586,9 +649,10 @@ class ServiceMixed(Workload):
         record = Round(ops=len(mix), wall=wall)
         if any(thread.is_alive() for thread in clients):
             raise RuntimeError("service client thread did not finish")
+        answers: Dict[str, Dict[str, object]] = {}
         for spec, elapsed_ms, envelope, error in outcomes[0] + outcomes[1]:
             key = spec.content_hash()
-            self.sent[key] = spec
+            self.sent.add(key)
             if error is not None:
                 record.failed += 1
                 self.fail(f"service {spec.describe()}: {error}")
@@ -599,12 +663,24 @@ class ServiceMixed(Workload):
                 (latency["queue"], latency["compute"], latency["total"], elapsed_ms)
             )
             answer = dict(envelope["result"], cache=None)
-            if self.answers.setdefault(key, answer) != answer:
+            if answers.setdefault(key, answer) != answer:
                 record.failed += 1
                 self.fail(f"service {spec.describe()}: repeat answered differently")
-        for spec in dict.fromkeys(mix):
-            answer = self.answers.get(spec.content_hash())
-            record.rows.append([spec.content_hash(), answer])
+        # Every distinct spec recomputed directly, on an engine that lives
+        # for this check only (repeats never cross rounds).
+        with Engine() as reference:
+            for spec in dict.fromkeys(mix):
+                answer = answers.get(spec.content_hash())
+                record.rows.append([spec.content_hash(), answer])
+                if answer is None:
+                    continue  # the request itself already failed
+                expected = json.loads(
+                    json.dumps(dict(reference.run(spec).to_dict(), cache=None),
+                               sort_keys=True, default=str)
+                )
+                if expected != answer:
+                    record.failed += 1
+                    self.fail(f"service {spec.describe()}: differs from Engine.run")
         record.counts["leaking"] = sum(
             1 for _, answer in record.rows
             if answer and answer["data"].get("transmit_beats_squash")
@@ -617,20 +693,8 @@ class ServiceMixed(Workload):
         self.count_cache(self.engine)
 
     def finish(self) -> int:
-        """Recompute every distinct spec directly and compare; check dedup."""
+        """Check single-flight: one computation per distinct spec."""
         failed = 0
-        with Engine() as reference:
-            for key, spec in self.sent.items():
-                answer = self.answers.get(key)
-                if answer is None:
-                    continue  # the request itself already failed
-                expected = json.loads(
-                    json.dumps(dict(reference.run(spec).to_dict(), cache=None),
-                               sort_keys=True, default=str)
-                )
-                if expected != answer:
-                    failed += 1
-                    self.fail(f"service {spec.describe()}: differs from Engine.run")
         computed = self.service_stats.get("hits", {}).get("computed")
         if computed != len(self.sent):
             self.fail(f"service computed {computed} points for {len(self.sent)} distinct specs")
@@ -639,7 +703,7 @@ class ServiceMixed(Workload):
 
     def metrics(self, rounds: List[Round]) -> Dict[str, float]:
         return {
-            "service_req_per_s": statistics.median(r.ops / r.wall for r in rounds),
+            "service_req_per_s": rate(rounds),
             "service_p50_ms": statistics.median(
                 percentile(r.latencies_ms, 0.50) for r in rounds
             ),
