@@ -256,8 +256,7 @@ class Workload:
     #: The workload's share of every run, relative to the others' (the
     #: chosen workload's weight counts twice).
     weight = 1.0
-    #: Rounds needed before the workload's percentiles have at least ten
-    #: samples beyond them.
+    #: The fewest rounds any run gives the workload.
     min_rounds = 1
     #: A run's rounds are a whole multiple of this.
     round_quantum = 1
