@@ -18,9 +18,11 @@ spine:
   ``~/.cache/repro/``); after executing, the envelope is persisted back.
 * :meth:`Engine.run_grid` takes a :class:`~repro.scenario.ScenarioGrid`
   (cartesian axes over a base spec, or an explicit point list), serves warm
-  points from the store, shards the misses over :meth:`Engine.map`'s
-  process pool, and aggregates one envelope.  A new sweep axis is one
-  ``axes`` entry -- not one new Engine method.
+  points from the store, runs the misses on the execution plane, and
+  aggregates one envelope.  A new sweep axis is one ``axes`` entry -- not
+  one new Engine method.  The composite kinds that sweep point kinds
+  (``matrix``, ``simulate_sweep``, ``simulate_batch``, ``window_ablation``,
+  ``ablation``) are explicit grids of those points.
 
 Beneath the spec layer the session keeps its **content-addressed artifact
 caches** (:meth:`build` / :meth:`analyze` keyed on
@@ -28,9 +30,12 @@ caches** (:meth:`build` / :meth:`analyze` keyed on
 ``(defense, variant)``-keyed evaluations, ``(source, delay, channel)``-keyed
 synthesized graphs, ``(attack, config, secret, model)``-keyed timing
 simulations), all bounded (``cache_limit``), observable (:meth:`stats`) and
-droppable (:meth:`invalidate`), and its **execution plane**
-(:meth:`Engine.map`: a session-owned process pool with a deterministic
-serial fallback; parallel output is byte-identical to serial output).
+droppable (:meth:`invalidate`), and its **execution plane**:
+:meth:`Engine.iter_grid` is the one scheduler of spec work.  It runs misses
+in process, or as chunk tasks on a session-owned process pool whose
+initializer gives every worker process one warm engine, optionally under a
+:class:`FailurePolicy`; parallel output is byte-identical to serial output.
+:meth:`Engine.map` is the generic helper on the same pool.
 
 The named methods (:meth:`analyze`, :meth:`evaluate_matrix`,
 :meth:`simulate_sweep`, :meth:`ablate_window`, ...) survive as thin shims
@@ -47,22 +52,23 @@ import json
 import pickle
 import random
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from functools import partial
 from pickle import PicklingError
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Deque,
     Dict,
+    Generator,
     Iterable,
     Iterator,
     List,
@@ -108,7 +114,7 @@ from .scenario import (
     decode_sim_defenses,
 )
 from .obs.metrics import MetricsRegistry
-from .obs.trace import Span, TraceContext, Tracer
+from .obs.trace import TraceContext, Tracer
 from .store import ArtifactStore, store_from_ref, store_ref
 from .uarch.timing.scheduler import CONTENDED_MODEL, SERIALIZED_MODEL
 
@@ -164,16 +170,16 @@ class Result:
 class FailurePolicy:
     """How a grid survives misbehaving points (``Engine(policy=...)``).
 
-    With a policy set, grid misses execute as *per-point* pool tasks under
-    supervision instead of contiguous shards:
+    With a policy set, the grid plane supervises every miss:
 
-    * ``timeout`` -- wall-clock seconds a point may run before its worker
-      is presumed hung; the pool is killed and the point retried in
-      isolation.  ``None`` disables the clock.  A pure-serial engine
-      (no pool available) cannot preempt in-process work, so timeouts are
-      only enforceable across a process boundary.
+    * ``timeout`` -- wall-clock seconds one point may run.  A pool task of
+      ``n`` points gets ``n * timeout`` before its worker is presumed hung;
+      the pool is killed and that task's points retry in isolation.
+      ``None`` disables the clock.  A pure-serial engine (no pool
+      available) cannot preempt in-process work, so timeouts are only
+      enforceable across a process boundary.
     * ``retries`` -- extra attempts a failing point gets, each in an
-      isolated single-inflight pool task so an innocent neighbour never
+      isolated single-point pool task so an innocent neighbour never
       burns the budget of the point that actually killed the worker.
     * ``backoff`` / ``backoff_cap`` / ``jitter`` -- exponential delay
       between attempts (``backoff * 2**(attempt-1)``, capped, +/- jitter
@@ -183,8 +189,9 @@ class FailurePolicy:
       ``--resume`` retries them) instead of aborting the campaign;
       ``False`` raises :class:`GridPointFailed`.
 
-    Without a policy (the default) grids run the legacy contiguous-shard
-    plane with byte-identical envelopes and fail-fast semantics.
+    Without a policy (the default) the same plane is fail-fast: a point's
+    exception propagates out of the grid.  Envelopes are byte-identical
+    either way.
     """
 
     timeout: Optional[float] = None
@@ -202,11 +209,16 @@ class GridPointFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One streamed grid point: its expansion index, spec and envelope."""
+    """One streamed grid point: its expansion index, spec and envelope.
+
+    ``from_store`` is ``True`` when the artifact store served the point's
+    checkpoint instead of an execution.
+    """
 
     index: int
     spec: ScenarioSpec
     result: Result
+    from_store: bool = False
 
 
 def _failure_info(exc: BaseException, note: Optional[str] = None) -> Tuple[str, str]:
@@ -234,102 +246,84 @@ def _error_envelope(
     )
 
 
+def _quarantined(results: Sequence[Result], data: Dict[str, object]) -> int:
+    """Count a composite's quarantined sub-points into its envelope data."""
+    count = sum(1 for result in results if result.kind == "error")
+    if count:
+        data["quarantined"] = count
+    return count
+
+
+def _error_field(result: Result) -> Dict[str, object]:
+    """The error a quarantined sub-point leaves in its composite's row."""
+    return {"error": result.data["error"]} if result.kind == "error" else {}
+
+
 # ---------------------------------------------------------------------------
-# Process-pool shard workers (module-level so they pickle by reference)
+# The pool worker: one warm engine per process, one task function
 # ---------------------------------------------------------------------------
 #: A picklable (root, version, max_entries) reference to a DiskStore (or
-#: ``None``).  Call sites bind it once per shard with ``functools.partial``
-#: so worker engines join the same persistent cache as the parent session.
+#: ``None``).  The session pool's initializer joins every worker engine to
+#: the same persistent cache as the parent session.
 StoreRef = Optional[Tuple[str, str, Optional[int]]]
 
+#: This process's warm worker engine, built once by :func:`_init_worker`.
+_WORKER_ENGINE: Optional["Engine"] = None
 
-def _synth_shard_worker(
-    ref: StoreRef, keys: Sequence[Tuple[str, str, str]]
-) -> List[Dict[str, object]]:
-    """Compute sweep rows for one shard of the attack space.
 
-    Each worker builds its own serial ``Engine`` so structurally identical
-    combinations within the shard share one graph build and leak check.
+def _init_worker(ref: StoreRef) -> None:
+    """Pool initializer: build the worker process's one warm engine.
+
+    The engine lives as long as the process, so its artifact caches (timing
+    simulations, TSG verdicts, decoded points) and its store handle carry
+    over from one chunk to the next instead of being rebuilt per task.
     """
-    engine = Engine(store=store_from_ref(ref))
-    return [
-        engine._synth_row(
-            SynthesizedAttack(SecretSource[s], DelayMechanism[d], CovertChannelKind[c])
-        )
-        for s, d, c in keys
-    ]
+    global _WORKER_ENGINE
+    _WORKER_ENGINE = Engine(store=store_from_ref(ref))
 
 
-def _matrix_shard_worker(
-    ref: StoreRef, pairs: Sequence[Tuple[Defense, AttackVariant]]
-) -> List["DefenseEvaluation"]:
-    engine = Engine(store=store_from_ref(ref))
-    return [engine.evaluate(defense, variant).payload for defense, variant in pairs]
+def _chunk_worker(
+    faults: Optional["FaultPlan"],
+    ctx: Optional[TraceContext],
+    specs: Sequence[ScenarioSpec],
+) -> Tuple[List[Union[Result, Exception]], List[Dict[str, object]]]:
+    """Run one chunk of grid points on the warm worker engine.
 
-
-def _novel_shard_worker(
-    keys: Sequence[Tuple[str, str, str]]
-) -> List[Tuple[str, str, str]]:
-    published = published_keys()
-    return [key for key in keys if key not in published]
-
-
-def _exploit_shard_worker(
-    items: Sequence[Tuple[str, object, int]]
-) -> List["ExploitResult"]:
-    from .exploits.harness import EXPLOITS
-    from .uarch.config import DEFAULT_CONFIG
-
-    results = []
-    for name, config, secret in items:
-        runner = EXPLOITS[name]
-        results.append(runner(config if config is not None else DEFAULT_CONFIG, secret))
-    return results
-
-
-def _simulate_shard_worker(
-    ref: StoreRef,
-    items: Sequence[Tuple[str, Tuple[str, ...], Optional[int], "TimingModel"]],
-) -> List["ExploitResult"]:
-    """Run timing simulations for one shard of a sweep or window ablation."""
-    from .uarch.defenses import SimDefense
-
-    engine = Engine(store=store_from_ref(ref))
-    return [
-        engine.simulate(
-            attack,
-            defenses=[SimDefense[name] for name in defense_names],
-            secret=secret,
-            model=model,
-        ).payload
-        for attack, defense_names, secret, model in items
-    ]
-
-
-def _decode_simulate_point(spec: ScenarioSpec) -> Tuple:
-    """Decode one ``simulate`` spec to ``(attack, scenario, config, secret, model)``.
-
-    Shared by the per-point executor, the batch dedupe pass and the batch
-    worker so every plane resolves a point to the *same* simulation-cache
-    key -- the registry aliases (MDS siblings, Foreshadow deployments)
-    collapse identically everywhere.
+    The only task the engine submits for spec work.  The fault plan and
+    the trace context travel with every task: an unpickled plan starts
+    with fresh ``count`` credits, and a shipped context parents one
+    ``worker.point`` span per point.  Workers cannot append to the
+    parent's JSONL sink, so their span records ride back with the outcomes
+    for the parent tracer to absorb.  A point's outcome is its envelope or
+    the exception it raised: one failing point never hides its neighbours'
+    results, so blame stays per point.
     """
-    from .uarch.config import DEFAULT_CONFIG
-    from .uarch.timing.scheduler import DEFAULT_MODEL
-    from .uarch.timing.validate import SCENARIOS
+    engine = _WORKER_ENGINE
+    engine.faults = faults
+    tracer = None if ctx is None else Tracer(sink=None, trace_id=ctx.trace_id)
+    engine.tracer = tracer
+    outcomes: List[Union[Result, Exception]] = []
+    for spec in specs:
+        try:
+            if tracer is None:
+                outcomes.append(engine.run(spec))
+                continue
+            with tracer.span(
+                "worker.point", parent=ctx, kind=spec.kind, key=spec.content_hash()[:12]
+            ):
+                outcomes.append(engine.run(spec))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes, [] if tracer is None else tracer.drain()
 
-    attack = spec.get("attack")
-    scenario = SCENARIOS.get(attack, attack)
-    config = decode_config(spec.get("config"))
-    base = config if config is not None else DEFAULT_CONFIG
-    defenses = decode_sim_defenses(spec.get("defenses"))
-    run_config = base.with_defenses(*defenses) if defenses else base
-    model = decode_model(spec.get("model"))
-    run_model = model if model is not None else DEFAULT_MODEL
-    secret = decode_secret(spec.get("secret"))
-    return attack, scenario, run_config, secret, run_model
 
+def _chunk_size(points: int, workers: int) -> int:
+    """Points per pool task: about four chunks per worker, at most 16 points.
 
+    Several chunks per worker balance uneven point costs; the cap bounds
+    how much work one crash or timeout sends to isolated retry.
+    """
+    return max(1, min(16, -(-points // (4 * workers))))
 #: The parameters one ``simulate_batch`` point may carry -- exactly the
 #: ``simulate`` spec surface, so a point hashes to the spec the same call
 #: would produce through :meth:`Engine.simulate`.
@@ -369,106 +363,6 @@ def _batch_point_spec(
     return ScenarioSpec("simulate", **merged)
 
 
-def _simulate_batch_worker(
-    ref: StoreRef,
-    faults: Optional["FaultPlan"],
-    ctx: Optional[TraceContext],
-    specs: Sequence[ScenarioSpec],
-) -> List[Tuple["ExploitResult", List[Dict[str, object]]]]:
-    """Serve one sublist of ``simulate`` points from a single warm engine.
-
-    Unlike :func:`_simulate_shard_worker` (stateless tuples), the whole
-    sublist shares one worker :class:`Engine`: the simulation cache and the
-    TSG-verdict memo are built once and reused across every point of the
-    shard.  Store / fault / trace semantics match the supervised per-point
-    plane: each point checkpoints its envelope through the shared store
-    ref, honors the shipped :class:`~repro.faults.FaultPlan`, and runs
-    under its own ``worker.point`` span whose records ride back with the
-    payload -- one ``(payload, spans)`` pair per point, so the shards
-    concatenate exactly like every other ``_run_sharded`` worker.
-    """
-    tracer = _worker_tracer(ctx)
-    engine = Engine(store=store_from_ref(ref), faults=faults, tracer=tracer)
-    items: List[Tuple["ExploitResult", List[Dict[str, object]]]] = []
-    for spec in specs:
-        if tracer is None:
-            items.append((engine.run(spec).payload, []))
-            continue
-        with tracer.span(
-            "worker.point", parent=ctx, kind=spec.kind, key=spec.content_hash()[:12]
-        ):
-            payload = engine.run(spec).payload
-        items.append((payload, tracer.drain()))
-    return items
-
-
-def _worker_tracer(ctx: Optional[TraceContext]) -> Optional[Tracer]:
-    """A collect-mode tracer joined to the shipped trace context.
-
-    Pool workers cannot append to the parent's JSONL sink (interleaved
-    buffers across processes would corrupt parentage ordering), so they
-    collect finished span records in memory and return them *with* their
-    results; the parent absorbs them into its own sink.
-    """
-    if ctx is None:
-        return None
-    return Tracer(sink=None, trace_id=ctx.trace_id)
-
-
-def _spec_shard_worker(
-    ref: StoreRef,
-    faults: Optional["FaultPlan"],
-    ctx: Optional[TraceContext],
-    specs: Sequence[ScenarioSpec],
-) -> Tuple[List[Result], List[Dict[str, object]]]:
-    """Execute one shard of a generic scenario grid.
-
-    Each worker builds its own serial ``Engine``; with a disk-backed store
-    reference the worker joins the parent's persistent cache, so repeated
-    grids are warm across processes -- and every completed point is a
-    durable checkpoint the moment its envelope is persisted.
-
-    Returns ``(results, spans)``: when a :class:`TraceContext` was shipped
-    the worker's ``worker.point`` spans (and everything nested under them)
-    ride back for the parent tracer to absorb; otherwise ``spans`` is empty.
-    """
-    tracer = _worker_tracer(ctx)
-    engine = Engine(store=store_from_ref(ref), faults=faults, tracer=tracer)
-    if tracer is None:
-        return [engine.run(spec) for spec in specs], []
-    results = []
-    for spec in specs:
-        with tracer.span(
-            "worker.point", parent=ctx, kind=spec.kind, key=spec.content_hash()[:12]
-        ):
-            results.append(engine.run(spec))
-    return results, tracer.drain()
-
-
-def _point_worker(
-    ref: StoreRef,
-    faults: Optional["FaultPlan"],
-    ctx: Optional[TraceContext],
-    spec: ScenarioSpec,
-) -> Tuple[Result, List[Dict[str, object]]]:
-    """Execute a single grid point: the failure-policy execution unit.
-
-    One point per pool task keeps blame assignment exact -- when a worker
-    dies or wedges, the supervisor knows precisely which spec it was
-    holding, retries it in isolation and quarantines only that point.
-    Returns ``(result, spans)`` exactly like :func:`_spec_shard_worker`.
-    """
-    tracer = _worker_tracer(ctx)
-    engine = Engine(store=store_from_ref(ref), faults=faults, tracer=tracer)
-    if tracer is None:
-        return engine.run(spec), []
-    with tracer.span(
-        "worker.point", parent=ctx, kind=spec.kind, key=spec.content_hash()[:12]
-    ):
-        result = engine.run(spec)
-    return result, tracer.drain()
-
-
 #: (ROB entries, reservation stations) points of the window-length ablation:
 #: shrinking the window is the paper's ROB/RS ablation, in measured cycles.
 #: The smallest points actually bind on the exploit corpus -- at (4, 2) the
@@ -505,17 +399,6 @@ DEFAULT_PORT_CONFIGS: Tuple[Tuple[str, Dict[str, Optional[int]]], ...] = (
 )
 
 
-#: Per-(source, delay) structural verdict fields shared across channel twins.
-_VERDICT_FIELDS = (
-    "leaks",
-    "vulnerabilities",
-    "racing_pairs",
-    "vertices",
-    "edges",
-    "meltdown_type",
-)
-
-
 def _picklable(payload: object) -> bool:
     """Probe whether work can cross the process boundary.
 
@@ -549,19 +432,6 @@ def _store_snapshot(result: Result, aliased: bool) -> Result:
     if not aliased:
         return result
     return replace(result, data=copy.deepcopy(result.data))
-
-
-def _shards(items: List[T], count: int) -> List[List[T]]:
-    """Split ``items`` into at most ``count`` contiguous, order-preserving shards."""
-    count = max(1, min(count, len(items)))
-    size, remainder = divmod(len(items), count)
-    shards: List[List[T]] = []
-    start = 0
-    for i in range(count):
-        end = start + size + (1 if i < remainder else 0)
-        shards.append(items[start:end])
-        start = end
-    return shards
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +487,9 @@ class Engine:
         self.parallel = parallel
         self.cache_limit = cache_limit
         self.store = store
-        #: Optional :class:`FailurePolicy` supervising grid execution.
-        #: ``None`` keeps the legacy fail-fast shard plane (byte-identical
-        #: envelopes); a policy switches misses to supervised per-point
-        #: tasks with timeout / retry / quarantine semantics.
+        #: Optional :class:`FailurePolicy` supervising grid execution:
+        #: timeout / retry / quarantine.  ``None`` is fail-fast -- a point's
+        #: exception propagates out of the grid.
         self.policy = policy
         #: Optional :class:`~repro.faults.FaultPlan`: deterministic fault
         #: injection, threaded to worker engines with the work.
@@ -686,11 +555,13 @@ class Engine:
         #: Decoded ``simulate`` points keyed on their raw spec parameters:
         #: the defense/config/model decode runs once per distinct point per
         #: session instead of once per serve -- the warm context that makes
-        #: batch campaigns cheap.  Values are what
-        #: :func:`_decode_simulate_point` returns.
+        #: batch campaigns cheap.  Values are what :meth:`_decode_point`
+        #: returns.
         self._point_decodes: Dict[Tuple, Tuple] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_workers = 0
+        #: The store reference the pool's worker engines were built with.
+        self._executor_ref: StoreRef = None
         self._closed = False
         #: Named external counter providers merged into :meth:`stats` --
         #: the analysis service registers itself here so one ``stats()``
@@ -842,13 +713,14 @@ class Engine:
         ``cache`` selects one cache (``builds`` / ``analyses`` /
         ``evaluations`` / ``synth_graphs`` / ``synth_verdicts`` /
         ``simulations``, plus ``store`` when a spec-level artifact store is
-        plugged in); ``None``
-        clears everything, including the registry's published-key index and
-        the shared micro-op expansion cache, and also shuts down the worker
-        pool (forked workers snapshot the parent at pool creation, so a
-        registry mutation would otherwise be invisible to them) -- use after
-        mutating the attack registry or the defense catalog.
+        plugged in); ``None`` clears everything, including the decoded
+        ``simulate`` points, the registry's published-key index and the
+        shared micro-op expansion cache -- use after mutating the attack
+        registry or the defense catalog.  Every call also shuts down the
+        worker pool: its warm worker engines hold their own copies of these
+        caches, and forked workers snapshot the parent at pool creation.
         """
+        self._shutdown_pool()
         stores = self._stores()
         if cache is not None:
             if cache == "store" and self.store is not None:
@@ -868,11 +740,11 @@ class Engine:
         dropped = sum(len(store) for store in stores.values())
         for store in stores.values():
             store.clear()
+        self._point_decodes.clear()
         if self.store is not None:
             dropped += self.store.clear()
         refresh_published_cache()
         expansion_for.cache_clear()
-        self._shutdown_pool()
         return dropped
 
     # -- execution plane ----------------------------------------------------
@@ -881,23 +753,32 @@ class Engine:
             parallel = self.parallel
         return max(1, parallel or 1)
 
-    def _pool(self, workers: int) -> ProcessPoolExecutor:
-        if self._executor is None or self._executor_workers < workers:
-            if self._executor is not None:
-                self._executor.shutdown()
-            self._executor = ProcessPoolExecutor(max_workers=workers)
-            self._executor_workers = workers
-        return self._executor
-
     def _try_pool(self, workers: int) -> Optional[ProcessPoolExecutor]:
-        """The session pool, or ``None`` when the platform cannot fork one
-        (or the session was closed -- a closed engine never respawns)."""
+        """The session pool, (re)spawned when too small or the store moved.
+
+        Its initializer builds each worker's warm engine on the session's
+        store reference, so :meth:`map` and the grid plane share one pool.
+        ``None`` when the platform cannot fork one, or the session was
+        closed -- a closed engine never respawns.
+        """
         if self._closed:
             return None
-        try:
-            return self._pool(workers)
-        except OSError:
-            return None
+        ref = store_ref(self.store)
+        if (
+            self._executor is None
+            or self._executor_workers < workers
+            or self._executor_ref != ref
+        ):
+            self._shutdown_pool()
+            try:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=workers, initializer=_init_worker, initargs=(ref,)
+                )
+            except OSError:
+                return None
+            self._executor_workers = workers
+            self._executor_ref = ref
+        return self._executor
 
     def _shutdown_pool(self) -> None:
         """Drop the worker pool (a later parallel call may spawn a fresh one)."""
@@ -970,7 +851,7 @@ class Engine:
         items: Iterable[T],
         parallel: Optional[int] = None,
     ) -> List[R]:
-        """Order-preserving map over ``items``, sharded across the pool.
+        """Order-preserving map over ``items`` on the session pool.
 
         With ``parallel`` (or the session default) <= 1 this is a plain
         serial list comprehension; otherwise ``fn`` and the items must be
@@ -996,30 +877,8 @@ class Engine:
             self._shutdown_pool()
             return [fn(item) for item in work]
 
-    def _run_sharded(
-        self,
-        worker: Callable[[List[T]], List[R]],
-        items: List[T],
-        parallel: Optional[int],
-    ) -> List[R]:
-        """Run ``worker`` over contiguous shards of ``items``, concatenated in order."""
-        workers = self._workers(parallel)
-        if workers <= 1 or len(items) <= 1:
-            return worker(items)
-        shards = _shards(items, workers)
-        pool = self._try_pool(workers)
-        if pool is None or not _picklable((worker, items)):
-            return worker(items)
-        try:
-            futures = [pool.submit(worker, shard) for shard in shards]
-            gathered = [future.result() for future in futures]
-        except (BrokenExecutor, PicklingError):
-            self._shutdown_pool()
-            return worker(items)
-        return [row for shard_rows in gathered for row in shard_rows]
-
     # ======================================================================
-    # The run-plan spine: one cached, sharded executor for every spec kind
+    # The run-plan spine: one cached executor for every spec kind
     # ======================================================================
     def run(
         self,
@@ -1032,10 +891,10 @@ class Engine:
         The spec's content hash is checked against the session's artifact
         store first (a hit is returned as a ``warm`` envelope without
         executing anything); on a miss the kind's executor runs -- through
-        the in-memory artifact caches and, for grid kinds, sharded over
-        :meth:`Engine.map` -- and the envelope is persisted back.
-        ``parallel`` is an execution detail, not part of the scenario's
-        identity: serial and sharded runs share one cache entry.
+        the in-memory artifact caches and, for composite kinds, the grid
+        plane -- and the envelope is persisted back.  ``parallel`` is an
+        execution detail, not part of the scenario's identity: serial and
+        parallel runs share one cache entry.
         """
         if isinstance(spec, ScenarioGrid):
             return self.run_grid(spec, parallel=parallel)
@@ -1080,19 +939,22 @@ class Engine:
         """Stream a grid's points as they finish: the resumable pipeline.
 
         Yields one :class:`GridPoint` per expansion point, *in completion
-        order* (checkpointed points first, then misses as their shard or
-        task completes).  Every completed point is persisted through the
-        session's artifact store before it is yielded -- with a
+        order* (checkpointed points first, then misses as they complete).
+        Every completed point is persisted through the session's artifact
+        store before it is yielded -- with a
         :class:`~repro.store.DiskStore` each yield is a durable checkpoint,
         so a killed campaign relaunched against the same store recomputes
         only the points never yielded (``stats()["grid"]["resumed"]``
-        counts the served checkpoints).
+        counts the served checkpoints, and their points carry
+        ``from_store``).
 
-        With a :class:`FailurePolicy` on the session the misses run as
-        supervised per-point tasks (timeout / retry / quarantine -- see the
-        policy's docstring); without one they run the legacy contiguous
-        shard plane and a point failure propagates fail-fast, exactly as
-        :meth:`run_grid` always did.
+        This is the engine's one scheduler of spec work.  A serial session
+        runs the misses in process; a parallel one sends them to the
+        session pool as chunk tasks of a few points each, run by one warm
+        engine per worker process, with identical specs computed once.  A
+        :class:`FailurePolicy` adds timeout, retry and quarantine; without
+        one a point's exception propagates (fail-fast) and the unfinished
+        points of a broken pool rerun in process.
         """
         tracer = self._active_tracer()
         if tracer is None:
@@ -1107,30 +969,34 @@ class Engine:
         """The :meth:`iter_grid` body (separated so tracing can wrap it)."""
         specs = grid.specs()
         self._runs_total.inc(len(specs), kind="grid")
-        aliased = True
+        aliased = getattr(self.store, "aliases_values", True)
         misses: List[int] = []
-        if self.store is not None:
-            aliased = getattr(self.store, "aliases_values", True)
-            for index, spec in enumerate(specs):
-                cached = self.store.get(spec.content_hash())
-                if isinstance(cached, Result):
-                    self._grid_event("resumed")
-                    yield GridPoint(index, spec, _warm_envelope(cached, aliased))
-                else:
-                    misses.append(index)
-        else:
-            misses = list(range(len(specs)))
+        for index, spec in enumerate(specs):
+            cached = None if self.store is None else self.store.get(spec.content_hash())
+            if isinstance(cached, Result):
+                self._grid_event("resumed")
+                yield GridPoint(
+                    index, spec, _warm_envelope(cached, aliased), from_store=True
+                )
+            else:
+                misses.append(index)
         if not misses:
             return
+        rng = random.Random(self.policy.seed) if self.policy is not None else None
         workers = self._workers(parallel)
-        if self.policy is not None:
-            yield from self._iter_policy(specs, misses, workers, aliased)
-        elif workers > 1 and len(misses) > 1:
-            yield from self._iter_sharded(specs, misses, workers, aliased)
-        else:
-            for index in misses:
-                # run() handles the per-point store bookkeeping itself.
-                yield GridPoint(index, specs[index], self.run(specs[index]))
+        pool = self._try_pool(workers) if workers > 1 and len(misses) > 1 else None
+        if pool is not None and _picklable((self.faults, [specs[i] for i in misses])):
+            misses = yield from self._iter_chunks(specs, misses, workers, rng)
+        for index in misses:
+            # run() handles the per-point store bookkeeping itself.
+            spec = specs[index]
+            try:
+                result = self.run(spec)
+            except Exception as exc:
+                if self.policy is None:
+                    raise
+                result = self._recover_point(spec, _failure_info(exc), rng)
+            yield GridPoint(index, spec, result)
 
     def run_grid(
         self,
@@ -1186,273 +1052,230 @@ class Engine:
             payload=list(results),
         )
 
-    def _absorb_point(
-        self, spec: ScenarioSpec, result: Result, aliased: bool, ref: StoreRef
-    ) -> None:
-        """Checkpoint a worker-computed point into a process-local store.
-
-        Workers holding a disk-store reference persisted their points
-        themselves; only process-local stores need the parent to absorb
-        the result.
-        """
-        if self.store is not None and ref is None:
+    def _absorb_point(self, spec: ScenarioSpec, result: Result) -> None:
+        """Checkpoint a worker-computed point into a process-local store
+        (workers on a disk-store reference persisted it themselves)."""
+        if self.store is not None and store_ref(self.store) is None:
+            aliased = getattr(self.store, "aliases_values", True)
             self.store.put(spec.content_hash(), _store_snapshot(result, aliased))
 
-    def _iter_sharded(
+    def _iter_chunks(
         self,
         specs: Sequence[ScenarioSpec],
         misses: List[int],
         workers: int,
-        aliased: bool,
-    ) -> Iterator[GridPoint]:
-        """The legacy fail-fast plane, streaming per completed shard."""
-        ref = store_ref(self.store)
-        tracer = self._active_tracer()
-        worker = partial(_spec_shard_worker, ref, self.faults, None)
-        payload = [specs[index] for index in misses]
-        pool = self._try_pool(workers)
-        if pool is None or not _picklable((worker, payload)):
-            for index in misses:
-                yield GridPoint(index, specs[index], self.run(specs[index]))
-            return
-        shards = _shards(misses, workers)
-        remaining: Dict[Future, List[int]] = {}
-        spans: Dict[Future, "Span"] = {}
-        try:
-            for shard in shards:
-                if tracer is not None:
-                    # Detached: shard spans finish in completion order from
-                    # as_completed, not LIFO -- they must never sit on the
-                    # submitting thread's span stack.  Their context ships
-                    # with the work so worker.point spans parent on them.
-                    span = tracer.span(
-                        "engine.shard", detached=True, points=len(shard)
-                    )
-                    worker = partial(
-                        _spec_shard_worker, ref, self.faults, span.context()
-                    )
-                future = pool.submit(worker, [specs[i] for i in shard])
-                remaining[future] = shard
-                if tracer is not None:
-                    spans[future] = span
-            for future in as_completed(list(remaining)):
-                rows, worker_spans = future.result()
-                shard = remaining.pop(future)
-                if tracer is not None:
-                    tracer.absorb(worker_spans)
-                    tracer.finish(spans.pop(future))
-                for index, result in zip(shard, rows):
-                    self._absorb_point(specs[index], result, aliased, ref)
-                    yield GridPoint(index, specs[index], result)
-        except (BrokenExecutor, PicklingError):
-            # A broken pool must not change results: the shards never
-            # yielded fall back to the deterministic serial path.
-            # Exceptions raised by a point itself propagate unchanged.
-            self._shutdown_pool()
-            for future, shard in remaining.items():
-                span = spans.pop(future, None)
-                if span is not None:
-                    tracer.finish(span.set(error="BrokenExecutor"))
-                for index in shard:
-                    yield GridPoint(index, specs[index], self.run(specs[index]))
+        rng: Optional[random.Random],
+    ) -> Generator[GridPoint, None, List[int]]:
+        """The pool path of :meth:`iter_grid`; returns the points left to
+        run in process.
 
-    def _iter_policy(
-        self,
-        specs: Sequence[ScenarioSpec],
-        misses: List[int],
-        workers: int,
-        aliased: bool,
-    ) -> Iterator[GridPoint]:
-        """The supervised plane: per-point tasks under the failure policy."""
+        At most ``workers`` chunks are in flight, so every submitted chunk
+        is running and its deadline (``policy.timeout`` per point) is fair.
+        A chunk past its deadline is hung: the pool is killed, its points
+        fail and the other in-flight chunks are requeued.  A crashed worker
+        breaks the pool under every in-flight chunk, so each of them reruns
+        alone first, and only a chunk that breaks the pool alone fails.
+        Failed points then retry in isolation -- each one a chunk of its
+        own with nothing else in flight -- until they heal or quarantine.
+        Without a policy a point's exception propagates, and a broken pool
+        hands every unfinished point back for the in-process path.
+        """
         policy = self.policy
-        rng = random.Random(policy.seed)
-        ref = store_ref(self.store)
         tracer = self._active_tracer()
-        ctx = tracer.current_context() if tracer is not None else None
-        worker_fn = partial(_point_worker, ref, self.faults, ctx)
-        use_pool = workers > 1 and len(misses) > 1
-        pool = self._try_pool(workers) if use_pool else None
-        if pool is None or not _picklable(
-            (worker_fn, [specs[index] for index in misses])
-        ):
-            for index in misses:
-                yield GridPoint(
-                    index, specs[index], self._run_point_serial(specs[index], rng)
-                )
-            return
-        pending: Dict[Future, int] = {}
-        failed: List[Tuple[int, Tuple[str, str]]] = []
-        try:
-            for index in misses:
-                pending[pool.submit(worker_fn, specs[index])] = index
-        except (BrokenExecutor, PicklingError) as exc:
-            self._grid_event("pool_respawns")
-            self._kill_pool()
-            submitted = set(pending.values())
-            failed.extend(
-                (index, _failure_info(exc, "task submission failed"))
-                for index in misses
-                if index not in submitted
-            )
-        while pending:
-            done, _ = wait(
-                list(pending), timeout=policy.timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                # Nothing finished inside the window: the workers holding
-                # these points are presumed hung.  Kill the pool (a plain
-                # shutdown would join the hung worker) and retry each
-                # point in isolation.
-                self._grid_event("timeouts")
-                failure = ("Timeout", f"no completion within {policy.timeout}s")
-                failed.extend((index, failure) for index in pending.values())
-                pending.clear()
-                self._kill_pool()
-                break
-            broken = False
-            for future in done:
-                index = pending.pop(future)
-                try:
-                    result, worker_spans = future.result()
-                except (BrokenExecutor, OSError) as exc:
-                    broken = True
-                    failed.append(
-                        (index, _failure_info(exc, "worker process died"))
-                    )
-                except Exception as exc:
-                    failed.append((index, _failure_info(exc)))
-                else:
+        # Identical specs run once; their copies are served from the first.
+        first: Dict[str, int] = {}
+        copies: Dict[int, List[int]] = {}
+        for index in misses:
+            owner = first.setdefault(specs[index].content_hash(), index)
+            if owner != index:
+                copies.setdefault(owner, []).append(index)
+        unique = list(first.values())
+        size = _chunk_size(len(unique), workers)
+        failures: Dict[int, Tuple[str, str]] = {}
+        leftover: List[int] = []
+
+        def served(index: int, result: Result) -> List[GridPoint]:
+            return [GridPoint(index, specs[index], result)] + [
+                GridPoint(copy, specs[copy], _warm_envelope(result, True))
+                for copy in copies.get(index, ())
+            ]
+
+        def end_span(span: object, **attrs: object) -> None:
+            if span is not None:
+                tracer.finish(span.set(**attrs))
+
+        def drive(queue: Deque[List[int]], window: int) -> Iterator[GridPoint]:
+            suspects: Deque[List[int]] = deque()
+            pending: Dict[Future, Tuple[List[int], Optional[float], object]] = {}
+            pool = None
+            while queue or suspects or pending:
+                if pool is None:
+                    pool = self._try_pool(workers)
+                    if pool is None:  # no pool can be spawned any more
+                        self._grid_event("serial_degradations")
+                        break
+                while (suspects and not pending) or (
+                    queue and not suspects and len(pending) < window
+                ):
+                    source = suspects if suspects else queue
+                    chunk = source.popleft()
+                    deadline = None
+                    if policy is not None and policy.timeout is not None:
+                        deadline = time.monotonic() + policy.timeout * len(chunk)
+                    span = None
+                    if tracer is not None:
+                        # Detached: chunk spans finish in completion order,
+                        # never on the submitting thread's span stack.
+                        span = tracer.span(
+                            "engine.shard", detached=True, points=len(chunk)
+                        )
+                    context = None if span is None else span.context()
+                    work = [specs[index] for index in chunk]
+                    try:
+                        future = pool.submit(_chunk_worker, self.faults, context, work)
+                    except BrokenExecutor:
+                        source.appendleft(chunk)
+                        if not pending:
+                            self._grid_event("pool_respawns")
+                            self._kill_pool()
+                            pool = None
+                        break
+                    pending[future] = (chunk, deadline, span)
+                if not pending:
+                    continue
+                deadlines = [entry[1] for entry in pending.values() if entry[1]]
+                timeout = None
+                if deadlines:
+                    timeout = max(0.0, min(deadlines) - time.monotonic())
+                done, _ = wait(list(pending), timeout, FIRST_COMPLETED)
+                if not done:
+                    now = time.monotonic()
+                    if not any(deadline <= now for deadline in deadlines):
+                        continue
+                    # A chunk outlived its deadline: its worker is presumed
+                    # hung.  Kill the pool (a plain shutdown would join it).
+                    self._grid_event("timeouts")
+                    for chunk, deadline, span in pending.values():
+                        if deadline is not None and deadline <= now:
+                            note = f"no completion within {policy.timeout}s per point"
+                            failures.update((i, ("Timeout", note)) for i in chunk)
+                            end_span(span, error="Timeout")
+                        else:
+                            queue.appendleft(chunk)
+                            end_span(span, error="Requeued")
+                    pending.clear()
+                    self._kill_pool()
+                    pool = None
+                    continue
+                harvest = set(done)
+                lost: List[List[int]] = []
+                while harvest:
+                    future = harvest.pop()
+                    chunk, _, span = pending.pop(future)
+                    try:
+                        outcomes, worker_spans = future.result(timeout=0)
+                    except (BrokenExecutor, FutureTimeoutError):
+                        # The pool is gone: collect every in-flight chunk.
+                        lost.append(chunk)
+                        end_span(span, error="BrokenExecutor")
+                        harvest.update(pending)
+                        continue
+                    except Exception as exc:  # the chunk could not cross back
+                        end_span(span, error=type(exc).__name__)
+                        if policy is None:
+                            leftover.extend(chunk)
+                        else:
+                            failures.update((i, _failure_info(exc)) for i in chunk)
+                        continue
                     if tracer is not None:
                         tracer.absorb(worker_spans)
-                    self._absorb_point(specs[index], result, aliased, ref)
-                    yield GridPoint(index, specs[index], result)
-            if broken:
-                # The whole pool is gone.  Harvest results that completed
-                # before the break; everything else joins the retry queue.
-                self._grid_event("pool_respawns")
-                for future, index in list(pending.items()):
-                    try:
-                        result, worker_spans = future.result(timeout=0)
-                    except Exception as exc:
-                        failed.append(
-                            (index, _failure_info(exc, "worker process died"))
-                        )
+                        tracer.finish(span)
+                    for index, outcome in zip(chunk, outcomes):
+                        if isinstance(outcome, Exception):
+                            if policy is None:
+                                raise outcome
+                            failures[index] = _failure_info(outcome)
+                            continue
+                        failures.pop(index, None)
+                        self._absorb_point(specs[index], outcome)
+                        yield from served(index, outcome)
+                if lost:
+                    self._grid_event("pool_respawns")
+                    self._kill_pool()
+                    pool = None
+                    if policy is None:
+                        leftover.extend(index for chunk in lost for index in chunk)
+                        break
+                    if len(lost) == 1:
+                        failure = ("BrokenProcessPool", "worker process died")
+                        failures.update((index, failure) for index in lost[0])
                     else:
-                        if tracer is not None:
-                            tracer.absorb(worker_spans)
-                        self._absorb_point(specs[index], result, aliased, ref)
-                        yield GridPoint(index, specs[index], result)
-                pending.clear()
-                self._kill_pool()
-        for index, failure in sorted(failed, key=lambda item: item[0]):
-            yield GridPoint(
-                index,
-                specs[index],
-                self._recover_point(specs[index], failure, rng, ref),
-            )
+                        suspects.extend(lost)
+            leftover.extend(index for chunk in suspects + queue for index in chunk)
 
-    def _recover_point(
-        self,
-        spec: ScenarioSpec,
-        failure: Tuple[str, str],
-        rng: random.Random,
-        ref: StoreRef,
-    ) -> Result:
-        """Retry a failed point in isolation until it heals or quarantines."""
-        policy = self.policy
+        chunks = deque(unique[at : at + size] for at in range(0, len(unique), size))
+        yield from drive(chunks, workers)
         attempts = 1  # the failed first pass
-        last = failure
-        while attempts <= policy.retries:
-            self._grid_event("retried")
-            delay = min(policy.backoff_cap, policy.backoff * (2 ** (attempts - 1)))
-            if policy.jitter:
-                delay *= 1.0 + policy.jitter * rng.uniform(-1.0, 1.0)
-            if delay > 0:
-                time.sleep(delay)
+        while failures and not leftover and attempts <= policy.retries:
             attempts += 1
-            outcome = self._attempt_isolated(spec, ref)
-            if isinstance(outcome, Result):
-                return outcome
-            last = outcome
-        if not policy.quarantine:
+            for index in sorted(failures):
+                self._retry_pause(attempts - 1, rng)
+                yield from drive(deque([[index]]), 1)
+        if leftover:  # no pool any more: failed points join the in-process path
+            leftover = list(set(leftover) | set(failures))
+        else:
+            for index, failure in sorted(failures.items()):
+                result = self._quarantine(specs[index], failure, attempts)
+                yield from served(index, result)
+        return sorted(leftover + [c for i in leftover for c in copies.get(i, ())])
+
+    def _retry_pause(self, retry: int, rng: random.Random) -> None:
+        """Count retry number ``retry`` of a point and sleep its backoff."""
+        policy = self.policy
+        self._grid_event("retried")
+        delay = min(policy.backoff_cap, policy.backoff * (2 ** (retry - 1)))
+        if policy.jitter:
+            delay *= 1.0 + policy.jitter * rng.uniform(-1.0, 1.0)
+        if delay > 0:
+            time.sleep(delay)
+
+    def _quarantine(
+        self, spec: ScenarioSpec, failure: Tuple[str, str], attempts: int
+    ) -> Result:
+        """The error envelope of a point out of retries (or the raise)."""
+        if not self.policy.quarantine:
+            error, message = failure
             raise GridPointFailed(
-                f"{spec.describe()}: {last[0]}: {last[1]} (after {attempts} attempts)"
+                f"{spec.describe()}: {error}: {message} (after {attempts} attempts)"
             )
         self._grid_event("quarantined")
         # Never checkpointed: a resume against the same store retries the
         # quarantined point instead of replaying its failure.
-        return _error_envelope(spec, last, attempts)
+        return _error_envelope(spec, failure, attempts)
 
-    def _attempt_isolated(
-        self, spec: ScenarioSpec, ref: StoreRef
-    ) -> Union[Result, Tuple[str, str]]:
-        """One supervised attempt of a single point; failure info on error.
+    def _recover_point(
+        self, spec: ScenarioSpec, failure: Tuple[str, str], rng: random.Random
+    ) -> Result:
+        """Retry a point that failed in process, in process.
 
-        The point rides alone in a (respawned if needed) pool task, so a
-        crash or timeout is unambiguously its own doing.  When no pool can
-        be spawned at all the engine degrades to in-process execution --
-        exceptions still count, but hangs and crashes can no longer be
-        contained (nothing preempts in-process work).
+        Nothing preempts in-process work, so exceptions are retried but
+        hangs and crashes cannot be contained.
         """
-        policy = self.policy
-        tracer = self._active_tracer()
-        ctx = tracer.current_context() if tracer is not None else None
-        worker_fn = partial(_point_worker, ref, self.faults, ctx)
-        pool = self._try_pool(1)
-        if pool is not None and _picklable((worker_fn, spec)):
-            future = pool.submit(worker_fn, spec)
-            try:
-                result, worker_spans = future.result(timeout=policy.timeout)
-            except FutureTimeoutError:
-                self._grid_event("timeouts")
-                self._kill_pool()
-                return ("Timeout", f"no result within {policy.timeout}s")
-            except (BrokenExecutor, OSError) as exc:
-                self._grid_event("pool_respawns")
-                self._kill_pool()
-                return _failure_info(exc, "worker process died")
-            except Exception as exc:
-                return _failure_info(exc)
-            if tracer is not None:
-                tracer.absorb(worker_spans)
-            aliased = (
-                getattr(self.store, "aliases_values", True)
-                if self.store is not None
-                else True
-            )
-            self._absorb_point(spec, result, aliased, ref)
-            return result
-        self._grid_event("serial_degradations")
-        try:
-            return self.run(spec)
-        except Exception as exc:
-            return _failure_info(exc)
-
-    def _run_point_serial(self, spec: ScenarioSpec, rng: random.Random) -> Result:
-        """The policy plane without any pool: in-process retry + quarantine."""
-        policy = self.policy
-        attempts = 0
-        last = ("Error", "never attempted")
-        while True:
-            attempts += 1
+        for retry in range(1, self.policy.retries + 1):
+            self._retry_pause(retry, rng)
             try:
                 return self.run(spec)
             except Exception as exc:
-                last = _failure_info(exc)
-            if attempts > policy.retries:
-                break
-            self._grid_event("retried")
-            delay = min(policy.backoff_cap, policy.backoff * (2 ** (attempts - 1)))
-            if policy.jitter:
-                delay *= 1.0 + policy.jitter * rng.uniform(-1.0, 1.0)
-            if delay > 0:
-                time.sleep(delay)
-        if not policy.quarantine:
-            raise GridPointFailed(
-                f"{spec.describe()}: {last[0]}: {last[1]} (after {attempts} attempts)"
-            )
-        self._grid_event("quarantined")
-        return _error_envelope(spec, last, attempts)
+                failure = _failure_info(exc)
+        return self._quarantine(spec, failure, self.policy.retries + 1)
+
+    def _run_points(
+        self, points: Sequence[ScenarioSpec], parallel: Optional[int]
+    ) -> List[Result]:
+        """A composite's sub-points, run as one explicit grid of their kind."""
+        if not points:
+            return []
+        return self.run_grid(ScenarioGrid.explicit(points), parallel=parallel).payload
 
     # -- Figure 9 program analysis ------------------------------------------
     def build(
@@ -1606,7 +1429,7 @@ class Engine:
         variants: Optional[Sequence[AttackVariant]] = None,
         parallel: Optional[int] = None,
     ) -> Result:
-        """Evaluate every defense against every variant, sharded over the pool.
+        """Evaluate every defense against every variant, as a grid.
 
         Deprecated spelling of ``run(ScenarioSpec("matrix", ...))``.  Rows
         are sorted by ``(defense key, attack key)`` so serial and parallel
@@ -1645,51 +1468,33 @@ class Engine:
             ),
             key=lambda pair: (pair[0].key, pair[1].key),
         )
-        workers = self._workers(parallel)
-        if workers <= 1:
-            # Serial path goes through the session's evaluation cache.
-            evaluations = [
-                self.evaluate(defense, variant).payload for defense, variant in pairs
-            ]
-        else:
-            # Warm pairs are served from the session cache; only the misses
-            # are sharded out.  Worker results are absorbed back into the
-            # cache, so a repeated sweep is all-local dict hits.
-            ref = store_ref(self.store)
-            misses = [pair for pair in pairs if pair not in self._evaluations]
-            computed = self._run_sharded(
-                partial(_matrix_shard_worker, ref), misses, workers
-            )
-            for pair, evaluation in zip(misses, computed):
-                if pair not in self._evaluations:
-                    self._store(self._evaluations, pair, evaluation)
-            evaluations = [
-                self.evaluate(defense, variant).payload for defense, variant in pairs
-            ]
-        rows = [_evaluation_row(evaluation) for evaluation in evaluations]
+        results = self._run_points(
+            [ScenarioSpec("evaluate", defense=d, attack=v) for d, v in pairs], parallel
+        )
+        rows = [result.data for result in results]
         defeated: Dict[str, bool] = {}
-        for evaluation in evaluations:
-            defeated[evaluation.attack_key] = (
-                defeated.get(evaluation.attack_key, False) or evaluation.effective
-            )
+        for row in rows:
+            if "error" not in row:
+                attack = row["attack"]
+                defeated[attack] = defeated.get(attack, False) or row["effective"]
         data = {
             "defenses": len(chosen_defenses),
             "attacks": len(chosen_variants),
-            "effective": sum(1 for evaluation in evaluations if evaluation.effective),
+            "effective": sum(1 for row in rows if row.get("effective")),
             "undefeated_attacks": sorted(
                 key for key, covered in defeated.items() if not covered
             ),
             "rows": rows,
         }
+        quarantined = _quarantined(results, data)
         return Result(
             kind="evaluate",
             subject=f"matrix {len(chosen_defenses)}x{len(chosen_variants)}",
-            ok=all(defeated.values()) if defeated else True,
+            ok=all(defeated.values()) and not quarantined,
             cache="none",
             data=data,
-            payload=evaluations,
+            payload=[result.payload for result in results],
         )
-
     # -- Section V-A attack-space synthesis ---------------------------------
     def synthesize_graph(self, attack: SynthesizedAttack) -> AttackGraph:
         """Build (or fetch) the synthesized graph of one combination."""
@@ -1743,11 +1548,13 @@ class Engine:
         channels: Optional[Sequence[CovertChannelKind]] = None,
         parallel: Optional[int] = None,
     ) -> Result:
-        """Sweep the (restricted) attack space, sharded over the pool.
+        """Sweep the (restricted) attack space.
 
         Deprecated spelling of ``run(ScenarioSpec("synthesize", ...))``.
-        Rows come back sorted by ``(source, delay, channel)`` key so parallel
-        output is byte-identical to serial output.
+        Rows come back sorted by ``(source, delay, channel)`` key.  The
+        sweep always runs in process: the structural-verdict cache leaves
+        too little work per row for a pool to pay off (``parallel`` is
+        accepted for compatibility).
         """
         return self.run(
             ScenarioSpec(
@@ -1766,32 +1573,6 @@ class Engine:
         attacks = sorted(
             enumerate_attack_space(sources, delays, channels), key=lambda a: a.key
         )
-        workers = self._workers(parallel)
-        if workers > 1:
-            # Shard one representative per structurally distinct (source,
-            # delay) pair that the session has not analysed yet; the workers'
-            # verdicts are absorbed into the cache, and every row (including
-            # channel twins) is then served locally.
-            missing: Dict[Tuple[str, str], SynthesizedAttack] = {}
-            for attack in attacks:
-                structural = (attack.secret_source.name, attack.delay_mechanism.name)
-                if structural not in self._synth_verdicts and structural not in missing:
-                    missing[structural] = attack
-            if missing:
-                ref = store_ref(self.store)
-                computed = self._run_sharded(
-                    partial(_synth_shard_worker, ref),
-                    [attack.key for attack in missing.values()],
-                    workers,
-                )
-                for row in computed:
-                    structural = (row["source"], row["delay"])
-                    if structural not in self._synth_verdicts:
-                        self._store(
-                            self._synth_verdicts,
-                            structural,
-                            {name: row[name] for name in _VERDICT_FIELDS},
-                        )
         rows = [self._synth_row(attack) for attack in attacks]
         data = {
             "combinations": len(rows),
@@ -1816,13 +1597,13 @@ class Engine:
         channels: Optional[Sequence[CovertChannelKind]] = None,
         parallel: Optional[int] = None,
     ) -> List[SynthesizedAttack]:
-        """Unpublished combinations, key-sorted, sharded over the pool."""
+        """Unpublished combinations, key-sorted (a set lookup per row, so
+        always in process; ``parallel`` is accepted for compatibility)."""
+        published = published_keys()
         attacks = sorted(
             enumerate_attack_space(sources, delays, channels), key=lambda a: a.key
         )
-        keys = [attack.key for attack in attacks]
-        novel = set(self._run_sharded(_novel_shard_worker, keys, parallel))
-        return [attack for attack in attacks if attack.key in novel]
+        return [attack for attack in attacks if attack.key not in published]
 
     # -- end-to-end exploits -------------------------------------------------
     def exploit(
@@ -1872,9 +1653,11 @@ class Engine:
         secret: Optional[int] = None,
         parallel: Optional[int] = None,
     ) -> Result:
-        """Run a set of exploits (all by default), sharded over the pool.
+        """Run a set of exploits (all by default), in process.
 
         Deprecated spelling of ``run(ScenarioSpec("exploit_suite", ...))``.
+        ``parallel`` is accepted for compatibility: a pooled suite measured
+        no faster than the serial one.
         """
         return self.run(
             ScenarioSpec(
@@ -1888,6 +1671,7 @@ class Engine:
 
     def _run_exploit_suite(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
         from .exploits.harness import DEFAULT_SECRET, EXPLOITS
+        from .uarch.config import DEFAULT_CONFIG
 
         names = spec.get("exploits")
         chosen = list(names) if names is not None else list(EXPLOITS)
@@ -1896,8 +1680,8 @@ class Engine:
         secret = decode_secret(spec.get("secret"))
         planted = DEFAULT_SECRET if secret is None else secret
         config = decode_config(spec.get("config"))
-        items = [(name, config, planted) for name in chosen]
-        results = self._run_sharded(_exploit_shard_worker, items, parallel)
+        run_config = config if config is not None else DEFAULT_CONFIG
+        results = [EXPLOITS[name](run_config, planted) for name in chosen]
         by_name = dict(zip(chosen, results))
         data = {
             "exploits": len(chosen),
@@ -1982,16 +1766,14 @@ class Engine:
         parallel: Optional[int] = None,
         model: Optional["TimingModel"] = None,
     ) -> Result:
-        """Sweep (attack x defense) timing simulations, sharded over the pool.
+        """Sweep (attack x defense) timing simulations, as a grid.
 
         Deprecated spelling of ``run(ScenarioSpec("simulate_sweep", ...))``.
 
         ``defenses`` defaults to the undefended baseline plus every simulator
         defense.  ``model`` selects the timing-plane configuration for every
         run (e.g. the contended reference core).  Rows are sorted by (attack,
-        defense) key, warm entries are served from the session cache and
-        worker results are absorbed back into it, mirroring
-        :meth:`evaluate_matrix`.
+        defense) key; each row is one ``simulate`` grid point.
         """
         return self.run(
             ScenarioSpec(
@@ -2005,7 +1787,6 @@ class Engine:
         )
 
     def _run_simulate_sweep(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
-        from .uarch.config import DEFAULT_CONFIG
         from .uarch.defenses import SimDefense
         from .uarch.timing.scheduler import DEFAULT_MODEL
         from .uarch.timing.validate import SCENARIOS
@@ -2025,57 +1806,37 @@ class Engine:
             else [None] + list(SimDefense)
         )
         combos = sorted(
-            (
-                (attack, () if defense is None else (defense.name,))
-                for attack in chosen_attacks
-                for defense in chosen_defenses
-            ),
-            key=lambda combo: (combo[0], combo[1]),
+            (attack, () if defense is None else (defense.name,))
+            for attack in chosen_attacks
+            for defense in chosen_defenses
         )
-        workers = self._workers(parallel)
-        if workers > 1:
-            ref = store_ref(self.store)
-            misses = []
-            for attack, defense_names in combos:
-                run_config = DEFAULT_CONFIG.with_defenses(
-                    *(SimDefense[name] for name in defense_names)
+        results = self._run_points(
+            [
+                ScenarioSpec(
+                    "simulate",
+                    attack=attack,
+                    defenses=tuple(SimDefense[name] for name in names) or None,
+                    secret=secret,
+                    model=model,
                 )
-                key = (SCENARIOS.get(attack, attack), run_config, secret, run_model)
-                if key not in self._simulations:
-                    misses.append((attack, defense_names, secret, run_model))
-            computed = self._run_sharded(
-                partial(_simulate_shard_worker, ref), misses, workers
-            )
-            for (attack, defense_names, miss_secret, miss_model), result in zip(
-                misses, computed
-            ):
-                run_config = DEFAULT_CONFIG.with_defenses(
-                    *(SimDefense[name] for name in defense_names)
-                )
-                key = (SCENARIOS.get(attack, attack), run_config, miss_secret, miss_model)
-                if key not in self._simulations:
-                    self._store(self._simulations, key, result)
-        rows = [
-            self.simulate(
-                attack,
-                [SimDefense[name] for name in defense_names],
-                secret=secret,
-                model=model,
-            ).data
-            for attack, defense_names in combos
-        ]
+                for attack, names in combos
+            ],
+            parallel,
+        )
+        rows = [result.data for result in results]
         data = {
             "attacks": len(chosen_attacks),
             "defenses": len(chosen_defenses),
             "contended": run_model.contended,
             "runs": len(rows),
-            "leaking": sum(1 for row in rows if row["transmit_beats_squash"]),
+            "leaking": sum(1 for row in rows if row.get("transmit_beats_squash")),
             "rows": rows,
         }
+        quarantined = _quarantined(results, data)
         return Result(
             kind="simulate",
             subject=f"sweep {len(chosen_attacks)}x{len(chosen_defenses)}",
-            ok=True,
+            ok=not quarantined,
             cache="none",
             data=data,
             payload=rows,
@@ -2096,15 +1857,13 @@ class Engine:
         Each point is an attack name or a mapping of ``simulate``
         parameters (``attack`` / ``defenses`` / ``config`` / ``secret`` /
         ``model``); the batch-level ``secret``/``model`` fill in per-point
-        gaps.  Points are served *in order* and each envelope is
+        gaps.  The batch is an explicit grid of those ``simulate`` points:
+        rows come back *in order*, and served serially each envelope is
         byte-identical to the per-point :meth:`simulate` call on the same
-        session -- the batch only changes who pays for warmup: with
-        ``parallel`` > 1 deduplicated cache misses ship to pool workers as
-        whole sublists, and each worker reuses one warm engine (simulation
-        cache, TSG-verdict memo, decoded configs) across its sublist
-        instead of rebuilding per point.  Store checkpoints, FaultPlan
-        selection and ``worker.point`` spans behave exactly like the
-        per-point plane.
+        session.  With ``parallel`` > 1 identical points run once and the
+        misses go to the pool's warm worker engines in chunks, with store
+        checkpoints, FaultPlan selection, quarantine and ``worker.point``
+        spans exactly as in any other grid.
         """
         return self.run(
             ScenarioSpec(
@@ -2117,92 +1876,42 @@ class Engine:
         )
 
     def _decode_point(self, spec: ScenarioSpec) -> Tuple:
-        """Session-memoized :func:`_decode_simulate_point`.
+        """Decode one ``simulate`` spec to ``(attack, scenario, config,
+        secret, model)``, memoized per session.
 
         Keyed on the raw parameter values; unhashable parameters (a dict
         config, say) simply skip the memo.  Decoding is deterministic, so a
-        hit is byte-equivalent to re-decoding -- it only skips the repeated
-        defense/model/config resolution on warm serves.
+        hit only skips the repeated defense/model/config resolution.  The
+        scenario resolves registry aliases (MDS siblings, Foreshadow
+        deployments), so aliased points share one simulation-cache key.
         """
-        key = (
-            spec.get("attack"),
-            spec.get("defenses"),
-            spec.get("config"),
-            spec.get("secret"),
-            spec.get("model"),
-        )
+        from .uarch.config import DEFAULT_CONFIG
+        from .uarch.timing.scheduler import DEFAULT_MODEL
+        from .uarch.timing.validate import SCENARIOS
+
+        names = ("attack", "defenses", "config", "secret", "model")
+        key: Optional[Tuple] = tuple(spec.get(name) for name in names)
         try:
             cached = self._point_decodes.get(key)
         except TypeError:
-            return _decode_simulate_point(spec)
-        if cached is None:
-            cached = _decode_simulate_point(spec)
-            self._store(self._point_decodes, key, cached)
-        return cached
-
-    def _simulation_key(self, spec: ScenarioSpec) -> Tuple:
-        """The session simulation-cache key of one ``simulate`` point spec."""
-        _, scenario, run_config, secret, run_model = self._decode_point(spec)
-        return (scenario, run_config, secret, run_model)
-
-    def _prewarm_batch(
-        self, point_specs: Sequence[ScenarioSpec], workers: int
-    ) -> Dict[Tuple, Result]:
-        """Ship a batch's deduplicated cache misses to the pool.
-
-        Without a :class:`FailurePolicy` the misses run as contiguous
-        sublists, one warm engine amortized across each (the fast
-        unsupervised plane).  With a policy they run as supervised
-        per-point tasks through the same machinery as the grid plane --
-        timeouts, bounded retry, pool respawn and quarantine, all counted
-        in ``stats()["grid"]`` -- trading shard amortization for exact
-        blame assignment.  Either way the worker threads the session's
-        fault plan and trace context, so batch points keep FaultPlan
-        selection and ``worker.point`` spans.
-
-        Computed payloads are absorbed into the session simulation cache;
-        the caller then serves every point in order through :meth:`run`.
-        Returns the quarantined points (simulation key -> error envelope)
-        so the batch can report them instead of re-tripping the failure
-        in-process; empty without a policy (failures propagate fail-fast).
-        """
-        ref = store_ref(self.store)
-        tracer = self._active_tracer()
-        ctx = tracer.current_context() if tracer is not None else None
-        seen = set()
-        misses: List[ScenarioSpec] = []
-        for pspec in point_specs:
-            key = self._simulation_key(pspec)
-            if key in seen or key in self._simulations:
-                continue
-            seen.add(key)
-            misses.append(pspec)
-        if not misses:
-            return {}
-        if self.policy is not None:
-            aliased = True
-            if self.store is not None:
-                aliased = getattr(self.store, "aliases_values", True)
-            quarantined: Dict[Tuple, Result] = {}
-            for point in self._iter_policy(
-                misses, list(range(len(misses))), workers, aliased
-            ):
-                key = self._simulation_key(point.spec)
-                if point.result.kind == "error":
-                    quarantined[key] = point.result
-                elif key not in self._simulations:
-                    self._store(self._simulations, key, point.result.payload)
-            return quarantined
-        computed = self._run_sharded(
-            partial(_simulate_batch_worker, ref, self.faults, ctx), misses, workers
+            key = cached = None
+        if cached is not None:
+            return cached
+        attack = spec.get("attack")
+        config = decode_config(spec.get("config"))
+        base = config if config is not None else DEFAULT_CONFIG
+        defenses = decode_sim_defenses(spec.get("defenses"))
+        model = decode_model(spec.get("model"))
+        decoded = (
+            attack,
+            SCENARIOS.get(attack, attack),
+            base.with_defenses(*defenses) if defenses else base,
+            decode_secret(spec.get("secret")),
+            model if model is not None else DEFAULT_MODEL,
         )
-        for pspec, (payload, spans) in zip(misses, computed):
-            key = self._simulation_key(pspec)
-            if key not in self._simulations:
-                self._store(self._simulations, key, payload)
-            if tracer is not None and spans:
-                tracer.absorb(spans)
-        return {}
+        if key is not None:
+            self._store(self._point_decodes, key, decoded)
+        return decoded
 
     def _run_simulate_batch(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
         shared_secret = spec.get("secret")
@@ -2211,30 +1920,21 @@ class Engine:
             _batch_point_spec(point, shared_secret, shared_model)
             for point in spec.get("points") or ()
         ]
-        workers = self._workers(parallel)
-        quarantined: Dict[Tuple, Result] = {}
-        if workers > 1 and len(point_specs) > 1:
-            quarantined = self._prewarm_batch(point_specs, workers)
-        results = []
-        for pspec in point_specs:
-            poisoned = quarantined.get(self._simulation_key(pspec))
-            results.append(poisoned if poisoned is not None else self.run(pspec))
+        results = self._run_points(point_specs, parallel)
         rows = [result.data for result in results]
         data: Dict[str, object] = {
             "points": len(rows),
             "unique_simulations": len(
-                {self._simulation_key(pspec) for pspec in point_specs}
+                {self._decode_point(pspec)[1:] for pspec in point_specs}
             ),
             "leaking": sum(1 for row in rows if row.get("transmit_beats_squash")),
             "rows": rows,
         }
-        failed = sum(1 for result in results if result.kind == "error")
-        if failed:
-            data["quarantined"] = failed
+        quarantined = _quarantined(results, data)
         return Result(
             kind="simulate_batch",
             subject=f"batch ({len(rows)} points)",
-            ok=not failed,
+            ok=not quarantined,
             cache="none",
             data=data,
             payload=results,
@@ -2436,9 +2136,9 @@ class Engine:
         and reports the measured speculation-window length, the transmit /
         squash race and the port/CDB stall provenance of each run.  Runs ride
         the :meth:`simulate` content-hash cache (attack x config x secret x
-        model), misses are sharded over :meth:`Engine.map`'s execution plane,
-        and rows come back sorted by (attack, ROB, RS, ports) so parallel
-        output is byte-identical to serial output.
+        model) as one grid point per unique (scenario, model), and rows come
+        back sorted by (attack, ROB, RS, ports) so parallel output is
+        byte-identical to serial output.
 
         Each port configuration also carries a :class:`~repro.channels.
         contention.ContentionChannel` transmission: under a bounded
@@ -2467,14 +2167,11 @@ class Engine:
         )
 
     def _run_window_ablation(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
-        from dataclasses import replace
-
         from .channels.contention import (
             ContentionChannel,
             PortContentionSurface,
             WIDE_WINDOW_MODEL,
         )
-        from .uarch.config import DEFAULT_CONFIG
         from .uarch.timing.scheduler import DEFAULT_MODEL
         from .uarch.timing.validate import SCENARIOS
 
@@ -2501,45 +2198,39 @@ class Engine:
             for label, overrides in configs
         ]
         combos.sort(key=lambda combo: combo[:4])
-        workers = self._workers(parallel)
-        if workers > 1:
-            # Aliased registry attacks (the MDS siblings, the Foreshadow
-            # deployments, ...) share one scenario and therefore one cache
-            # key -- ship each missing key to the pool once, not per alias.
-            ref = store_ref(self.store)
-            misses = []
-            queued = set()
-            for attack, _, _, _, model in combos:
-                key = (SCENARIOS.get(attack, attack), DEFAULT_CONFIG, secret, model)
-                if key not in self._simulations and key not in queued:
-                    queued.add(key)
-                    misses.append((attack, (), secret, model))
-            computed = self._run_sharded(
-                partial(_simulate_shard_worker, ref), misses, workers
-            )
-            for (attack, _, miss_secret, model), result in zip(misses, computed):
-                key = (SCENARIOS.get(attack, attack), DEFAULT_CONFIG, miss_secret, model)
-                if key not in self._simulations:
-                    self._store(self._simulations, key, result)
+        # Aliased registry attacks (the MDS siblings, the Foreshadow
+        # deployments, ...) share one scenario: one grid point per unique
+        # (scenario, model), run by the first alias.
+        point_of: Dict[Tuple[str, "TimingModel"], int] = {}
+        points: List[ScenarioSpec] = []
+        for attack, _, _, _, model in combos:
+            key = (SCENARIOS.get(attack, attack), model)
+            if key not in point_of:
+                point_of[key] = len(points)
+                points.append(
+                    ScenarioSpec("simulate", attack=attack, secret=secret, model=model)
+                )
+        results = self._run_points(points, parallel)
         rows: List[Dict[str, object]] = []
         for attack, rob, rs, label, model in combos:
-            result = self.simulate(attack, model=model, secret=secret)
-            trace = result.payload.timing
+            scenario = SCENARIOS.get(attack, attack)
+            result = results[point_of[(scenario, model)]]
+            trace = result.payload.timing if result.payload is not None else None
             row = {
                 "attack": attack,
-                "scenario": result.data["scenario"],
+                "scenario": scenario,
                 "rob_size": rob,
                 "rs_entries": rs,
                 "ports": label,
-                "cycles": result.data.get("cycles"),
-                "window_cycles": result.data.get("window_cycles"),
-                "transmit_cycle": result.data.get("transmit_cycle"),
-                "squash_cycle": result.data.get("squash_cycle"),
-                "transmit_beats_squash": result.data["transmit_beats_squash"],
-                "leaked": result.data["leaked"],
-                "port_stall_cycles": trace.port_stall_cycles if trace else 0,
-                "cdb_stall_cycles": trace.cdb_stall_cycles if trace else 0,
             }
+            for name in (
+                "cycles", "window_cycles", "transmit_cycle", "squash_cycle",
+                "transmit_beats_squash", "leaked",
+            ):
+                row[name] = result.data.get(name)
+            row["port_stall_cycles"] = trace.port_stall_cycles if trace else 0
+            row["cdb_stall_cycles"] = trace.cdb_stall_cycles if trace else 0
+            row.update(_error_field(result))
             rows.append(row)
         channel_value = 11  # arbitrary nibble-plus: exercises a multi-op burst
         channel_rows: List[Dict[str, object]] = []
@@ -2570,10 +2261,11 @@ class Engine:
             "rows": rows,
             "contention_channel": channel_rows,
         }
+        quarantined = _quarantined(results, data)
         return Result(
             kind="window_ablation",
             subject=f"window-ablation {len(chosen)}x{len(grid) * len(configs)}",
-            ok=True,
+            ok=not quarantined,
             cache="none",
             data=data,
             payload=rows,
@@ -2635,8 +2327,7 @@ class Engine:
         """Run one exploit with no defense, then under each simulator defense.
 
         Deprecated spelling of ``run(ScenarioSpec("ablation", attack=...))``.
-        The per-defense runs expand to an explicit exploit grid sharded over
-        :meth:`Engine.map`, like every other grid in the engine.
+        The per-defense runs expand to an explicit exploit grid.
         """
         return self.run(
             ScenarioSpec(
@@ -2670,7 +2361,7 @@ class Engine:
             else list(SimDefense)
         )
         # The undefended baseline followed by one point per defense, in
-        # caller order -- an explicit grid sharded over the execution plane.
+        # caller order -- an explicit grid of exploit points.
         points = [
             ScenarioSpec("exploit", exploit=attack, secret=planted, config=base)
         ] + [
@@ -2682,8 +2373,8 @@ class Engine:
             )
             for defense in selected
         ]
-        grid_result = self.run_grid(ScenarioGrid.explicit(points), parallel=parallel)
-        leaks = [bool(point.data["success"]) for point in grid_result.payload]
+        results = self._run_points(points, parallel)
+        leaks = [bool(result.data.get("success")) for result in results]
         rows = [AblationRow(attack, None, leaks[0])] + [
             AblationRow(attack, defense, leaked)
             for defense, leaked in zip(selected, leaks[1:])
@@ -2694,20 +2385,26 @@ class Engine:
             "attack": attack,
             "baseline_leaks": baseline.leaked,
             "defenses": len(defended),
-            "effective": sum(1 for row in defended if not row.leaked),
+            "effective": sum(
+                1
+                for row, result in zip(defended, results[1:])
+                if not row.leaked and result.kind != "error"
+            ),
             "rows": [
                 {
                     "defense": row.defense_name,
                     "strategy": row.strategy_name,
                     "leaked": row.leaked,
+                    **_error_field(result),
                 }
-                for row in rows
+                for row, result in zip(rows, results)
             ],
         }
+        quarantined = _quarantined(results, data)
         return Result(
             kind="ablation",
             subject=attack,
-            ok=any(not row.leaked for row in defended),
+            ok=any(not row.leaked for row in defended) and not quarantined,
             cache="none",
             data=data,
             payload=rows,
@@ -2722,14 +2419,13 @@ def _simulate_row(
     scenario: str,
     config: "UarchConfig",
     result: "ExploitResult",
-    tsg_memo: Optional[Dict[str, Optional[bool]]] = None,
+    tsg_memo: Dict[str, Optional[bool]],
 ) -> Dict[str, object]:
     """One timing-simulation row: functional verdict + measured race.
 
-    ``tsg_memo`` (keyed by attack name) caches the Theorem-1 verdict across
-    rows: rebuilding the registry attack graph dominates a warm serve, and
-    the verdict is deterministic per variant, so engines pass their
-    session-scoped memo here.
+    ``tsg_memo`` (keyed by attack name) is the session's cache of the
+    Theorem-1 verdict: rebuilding the registry attack graph dominates a
+    warm serve, and the verdict is deterministic per variant.
     """
     trace = result.timing
     defense_names = sorted(defense.name.lower() for defense in config.defenses)
@@ -2756,16 +2452,15 @@ def _simulate_row(
     else:  # pragma: no cover - the timing harness always records a trace
         row["transmit_beats_squash"] = result.success
     if not config.defenses:
-        if tsg_memo is not None and attack in tsg_memo:
-            tsg_leaks = tsg_memo[attack]
-        else:
+        if attack not in tsg_memo:
             from .attacks.registry import ALL_VARIANTS
             from .defenses.evaluation import attack_succeeds
 
             variant = ALL_VARIANTS.get(attack)
-            tsg_leaks = None if variant is None else attack_succeeds(variant.build_graph())
-            if tsg_memo is not None:
-                tsg_memo[attack] = tsg_leaks
+            tsg_memo[attack] = (
+                None if variant is None else attack_succeeds(variant.build_graph())
+            )
+        tsg_leaks = tsg_memo[attack]
         if tsg_leaks is not None:
             row["tsg_leaks"] = tsg_leaks
             row["theorem1_agrees"] = tsg_leaks == row["transmit_beats_squash"]

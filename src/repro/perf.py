@@ -492,12 +492,13 @@ def _legacy_attack_space_rows() -> List[Tuple]:
 
 
 def measure_engine_attack_space(workers: int = 2, repeats: int = 3) -> Dict[str, object]:
-    """Serial free-function sweep vs the engine's sharded attack-space sweep.
+    """Serial free-function sweep vs the engine's attack-space sweep.
 
-    The engine wins twice over: structurally identical ``(source, delay)``
-    combinations share one graph build + leak analysis via the verdict
-    cache, and the remaining work is sharded over the session's process
-    pool.  The serial baseline is the pre-engine per-combination sweep.
+    The engine wins through its verdict cache: structurally identical
+    ``(source, delay)`` combinations share one graph build + leak analysis.
+    The sweep runs in process even when asked for ``workers`` (a pooled
+    sweep measured no faster); the record keeps its name and fields.  The
+    serial baseline is the pre-engine per-combination sweep.
     """
     from .engine import Engine
 

@@ -348,7 +348,10 @@ class AnalysisService:
             try:
                 for point in self.engine.iter_grid(grid, parallel=parallel):
                     loop.call_soon_threadsafe(
-                        self._complete, entries[point.index], point.result
+                        self._complete,
+                        entries[point.index],
+                        point.result,
+                        point.from_store,
                     )
             except BaseException as exc:  # noqa: BLE001 - marshalled to waiters
                 message = f"{exc.__class__.__name__}: {exc}"
@@ -362,15 +365,17 @@ class AnalysisService:
         except RuntimeError:  # pool already shut down mid-drain
             self._fail_remaining(entries, "service executor is shut down")
 
-    def _complete(self, entry: _Entry, result: Result) -> None:
-        """One grid point landed: classify the hit, wake every waiter."""
+    def _complete(self, entry: _Entry, result: Result, from_store: bool) -> None:
+        """One grid point landed: classify the hit, wake every waiter.
+
+        Only a checkpoint the store served is a store hit; a point the
+        engine answered from its in-memory artifact caches still counts
+        as computed.
+        """
         if self._inflight.get(entry.key) is not entry:
             return  # already failed via _fail_remaining
         entry.completed = time.perf_counter()
-        if result.cache == "warm":
-            entry.hit = store_label(self.engine.store)
-        else:
-            entry.hit = "computed"
+        entry.hit = store_label(self.engine.store) if from_store else "computed"
         self.stats_view.record_hit(entry.hit)
         self._finish(entry, result)
 

@@ -11,7 +11,6 @@ from repro.attacks import (
     DelayMechanism,
     SecretSource,
     get as get_attack,
-    novel_combinations,
 )
 from repro.defenses import evaluate_matrix, get as get_defense
 from repro.engine import Engine, Result, default_engine, set_default_engine
@@ -179,11 +178,13 @@ class TestExecutionPlane:
     ]
     CHANNELS = [CovertChannelKind.FLUSH_RELOAD, CovertChannelKind.PRIME_PROBE]
 
+    @pytest.mark.batch
     def test_map_preserves_order_serial_and_parallel(self, engine):
         items = list(range(20))
         assert engine.map(abs, items) == items
         assert engine.map(abs, items, parallel=4) == items
 
+    @pytest.mark.batch
     def test_sharded_attack_space_is_byte_identical_to_serial(self, engine):
         serial = engine.synthesize(self.SOURCES, self.DELAYS, self.CHANNELS)
         parallel = engine.synthesize(
@@ -192,6 +193,7 @@ class TestExecutionPlane:
         assert serial.data["combinations"] == 18
         assert parallel.to_json() == serial.to_json()
 
+    @pytest.mark.batch
     def test_sharded_matrix_is_byte_identical_to_serial(self, engine):
         defenses = [get_defense(k) for k in ("lfence", "kpti", "invisispec")]
         attacks = [get_attack(k) for k in ("spectre_v1", "meltdown", "fallout")]
@@ -216,14 +218,6 @@ class TestExecutionPlane:
             (r.defense_key, r.attack_key, r.effective) for r in engine_rows
         ]
 
-    def test_novel_combinations_parallel_matches_serial(self):
-        serial = novel_combinations(self.SOURCES, self.DELAYS, self.CHANNELS)
-        parallel = novel_combinations(
-            self.SOURCES, self.DELAYS, self.CHANNELS, parallel=3
-        )
-        assert serial == parallel
-        assert all(not attack.is_published for attack in serial)
-
     def test_serial_matrix_warms_the_session_cache(self, engine):
         defenses = [get_defense(k) for k in ("lfence", "kpti")]
         attacks = [get_attack(k) for k in ("spectre_v1", "meltdown")]
@@ -231,10 +225,12 @@ class TestExecutionPlane:
         assert engine.stats()["evaluations"]["entries"] == 4
         assert engine.evaluate(defenses[0], attacks[0]).cache == "warm"
 
+    @pytest.mark.batch
     def test_map_propagates_worker_exceptions(self, engine):
         with pytest.raises(ZeroDivisionError):
             engine.map(_reciprocal, [1, 2, 0, 4], parallel=2)
 
+    @pytest.mark.batch
     def test_unpicklable_work_falls_back_to_serial(self, engine):
         double = lambda value: value * 2  # noqa: E731 - deliberately unpicklable
         assert engine.map(double, [1, 2, 3], parallel=2) == [2, 4, 6]
@@ -243,6 +239,7 @@ class TestExecutionPlane:
         with pytest.raises(ValueError):
             engine.run_exploits(names=["spectre_v1", "spectre_v1"])
 
+    @pytest.mark.batch
     def test_sharded_exploits_match_serial(self, engine):
         names = ["spectre_v1", "meltdown"]
         serial = engine.run_exploits(names=names)
@@ -314,6 +311,7 @@ class TestDefaultEngine:
     def test_default_engine_is_a_singleton(self):
         assert default_engine() is default_engine()
 
+    @pytest.mark.batch
     def test_set_default_engine_none_closes_the_replaced_session(self):
         previous = set_default_engine(None)
         try:
@@ -337,6 +335,7 @@ class TestDefaultEngine:
         finally:
             set_default_engine(previous)
 
+    @pytest.mark.batch
     def test_closed_engine_still_answers_serially_without_a_pool(self):
         engine = Engine()
         engine.close()
@@ -465,6 +464,7 @@ class TestEngineSimulate:
         )
         assert engine.stats()["simulations"]["misses"] == before
 
+    @pytest.mark.batch
     def test_sharded_sweep_matches_serial(self):
         from repro.uarch import SimDefense
 
@@ -493,6 +493,7 @@ class TestEngineSimulate:
         assert serialized.data["rows"][0]["transmit_beats_squash"] is False
         assert engine.stats()["simulations"]["entries"] == 2
 
+    @pytest.mark.batch
     def test_sharded_sweep_with_model_matches_serial(self):
         from repro.uarch.timing import CONTENDED_MODEL
 
@@ -533,6 +534,7 @@ class TestEnginePatchAblation:
         with pytest.raises(KeyError):
             engine.ablation("rowhammer")
 
+    @pytest.mark.batch
     def test_sharded_ablation_matches_serial(self):
         """ROADMAP open item: the exploit ablation shards over Engine.map
         (via its explicit exploit scenario grid) with identical rows."""
@@ -640,6 +642,7 @@ class TestAblateWindow:
         assert channel_rows["contended"]["detected"] is True
         assert channel_rows["contended"]["recovered"] == channel_rows["contended"]["value"]
 
+    @pytest.mark.batch
     def test_sharded_ablation_matches_serial(self):
         kwargs = dict(
             attacks=["spectre_v1", "meltdown"],
@@ -653,9 +656,10 @@ class TestAblateWindow:
             sharded = session.ablate_window(parallel=2, **kwargs)
         assert sharded.data == serial.data
 
+    @pytest.mark.batch
     def test_aliased_attacks_share_ablation_runs(self):
-        """ridl and zombieload share the mds scenario: the sharded ablation
-        must ship (and cache) one simulation per unique key, not per alias."""
+        """ridl and zombieload share the mds scenario: the parallel ablation
+        must run one grid point per unique (scenario, model), not per alias."""
         with Engine() as session:
             result = session.ablate_window(
                 ["ridl", "zombieload"],
@@ -665,7 +669,7 @@ class TestAblateWindow:
             )
         expected_models = len(self.GRID) * len(self.PORTS)
         assert len(result.data["rows"]) == 2 * expected_models
-        assert session.stats()["simulations"]["entries"] == expected_models
+        assert session.stats()["runs"]["grid"] == expected_models
 
     @pytest.mark.slow
     def test_full_registry_ablation(self):
@@ -689,3 +693,189 @@ class TestAblateWindow:
             if (r["rob_size"], r["rs_entries"]) == (4, 2) and r["attack"] == "spectre_v1"
         ]
         assert small and all(not r["transmit_beats_squash"] for r in small)
+
+
+# ---------------------------------------------------------------------------
+# The one execution plane: supervised chunks on warm worker engines
+# ---------------------------------------------------------------------------
+def _secret_grid(count, attack="spectre_v1"):
+    from repro.scenario import ScenarioGrid
+
+    return ScenarioGrid(
+        "simulate", axes={"attack": [attack], "secret": list(range(count))}
+    )
+
+
+def _policy(**overrides):
+    """Fast retries for the supervision tests: no backoff to speak of, no jitter."""
+    from repro.engine import FailurePolicy
+
+    return FailurePolicy(**{"retries": 1, "backoff": 0.001, "jitter": 0.0, **overrides})
+
+
+@pytest.mark.batch
+class TestOnePlane:
+    def test_map_warms_the_pool_the_grid_then_uses(self):
+        """perfbench warms the grid's pool through ``map`` during set-up."""
+        with Engine() as engine:
+            engine.map(abs, range(2), parallel=2)
+            pool = engine._executor
+            assert pool is not None
+            engine.run_grid(_secret_grid(4), parallel=2)
+            assert engine._executor is pool
+
+    def test_all_warm_resume_spawns_no_pool(self, tmp_path):
+        from repro.store import DiskStore
+
+        grid = _secret_grid(4)
+        with Engine(store=DiskStore(root=tmp_path, version="t")) as engine:
+            engine.run_grid(grid)
+        with Engine(
+            store=DiskStore(root=tmp_path, version="t"), policy=_policy(timeout=60.0)
+        ) as engine:
+            engine.run_grid(grid, parallel=2)
+            assert engine._executor is None
+            assert engine.stats()["grid"]["resumed"] == 4
+
+    def test_fail_fast_grid_raises_the_point_error(self):
+        from repro.engine import GridPointFailed
+        from repro.scenario import ScenarioGrid
+
+        grid = ScenarioGrid("exploit", axes={"exploit": ["spectre_v1", "rowhammer"]})
+        with Engine() as engine:
+            with pytest.raises(KeyError) as caught:
+                engine.run_grid(grid, parallel=2)
+        assert not isinstance(caught.value, GridPointFailed)
+
+    def test_count_without_state_dir_fires_on_every_retry(self):
+        """Each pool task unpickles a fresh plan: a ``count=1`` fault
+        without ``state_dir`` trips every attempt and ends quarantined."""
+        from repro.faults import FaultPlan, FaultSpec
+
+        plan = FaultPlan([FaultSpec(kind="exception", match="secret=1", count=1)])
+        with Engine(parallel=2, policy=_policy(retries=2), faults=plan) as engine:
+            result = engine.run_grid(_secret_grid(3))
+        bad = result.data["rows"][1]["data"]
+        assert bad["quarantined"] is True and bad["attempts"] == 3
+        assert engine.stats()["grid"]["retried"] == 2
+
+    def test_any_invalidate_drops_the_pool(self):
+        with Engine() as engine:
+            engine.map(abs, range(2), parallel=2)
+            assert engine._executor is not None
+            engine.invalidate("simulations")
+            assert engine._executor is None
+
+    def test_full_invalidate_clears_point_decodes(self):
+        with Engine() as engine:
+            engine.simulate("spectre_v1")
+            assert engine._point_decodes
+            engine.invalidate()
+            assert not engine._point_decodes
+
+    def test_every_point_gets_a_span_under_its_chunk(self, tmp_path):
+        from repro.obs.trace import Tracer, read_trace
+
+        sink = tmp_path / "chunks.jsonl"
+        with Engine(parallel=2, tracer=Tracer(sink=str(sink))) as engine:
+            engine.run_grid(_secret_grid(20))
+        records = read_trace(sink)
+        chunks = {r["span"]: r for r in records if r["name"] == "engine.shard"}
+        points = [r for r in records if r["name"] == "worker.point"]
+        assert len(points) == 20
+        assert all(point["parent"] in chunks for point in points)
+        assert len(chunks) < 20  # several points share one task
+        for span_id, chunk in chunks.items():
+            children = sum(1 for point in points if point["parent"] == span_id)
+            assert children == chunk["attrs"]["points"]
+
+    def test_chunk_deadline_scales_with_its_length(self):
+        """Points of 0.3 s under a 0.5 s timeout: a two-point chunk runs
+        0.6 s, inside its 1 s deadline, so nothing times out."""
+        from repro.engine import _chunk_size
+        from repro.faults import FaultPlan, FaultSpec
+
+        assert _chunk_size(9, 2) == 2
+        plan = FaultPlan([FaultSpec(kind="hang", hang_seconds=0.3)])
+        with Engine(parallel=2, policy=_policy(timeout=0.5), faults=plan) as engine:
+            result = engine.run_grid(_secret_grid(9))
+        assert "quarantined" not in result.data
+        assert engine.stats()["grid"]["timeouts"] == 0
+
+    @pytest.mark.parametrize(
+        "fault", [{"kind": "crash"}, {"kind": "hang", "hang_seconds": 30.0}]
+    )
+    def test_crash_or_timeout_retries_only_its_chunk(self, fault):
+        from repro.engine import _chunk_size
+        from repro.faults import FaultPlan, FaultSpec
+
+        plan = FaultPlan([FaultSpec(match="secret=4", **fault)])
+        with Engine(parallel=2, policy=_policy(timeout=0.5), faults=plan) as engine:
+            result = engine.run_grid(_secret_grid(9))
+            grid = engine.stats()["grid"]
+        assert result.data["quarantined"] == 1
+        assert result.data["rows"][4]["data"]["quarantined"] is True
+        assert all(
+            "quarantined" not in row["data"]
+            for index, row in enumerate(result.data["rows"])
+            if index != 4
+        )
+        # Only the culprit's chunk went to isolated retry.
+        assert 1 <= grid["retried"] <= _chunk_size(9, 2)
+
+    def test_broken_pool_reruns_unfinished_points_in_process(self, tmp_path):
+        """Fail-fast: a crashed worker costs nothing but a rerun.  The
+        crash token is spent in the worker, so the in-process rerun runs
+        clean."""
+        from repro.faults import FaultPlan, FaultSpec
+
+        plan = FaultPlan(
+            [FaultSpec(kind="crash", match="secret=1", count=1)], state_dir=tmp_path
+        )
+        serial = Engine().run_grid(_secret_grid(4))
+        with Engine(parallel=2, faults=plan) as engine:
+            result = engine.run_grid(_secret_grid(4))
+            assert engine.stats()["grid"]["pool_respawns"] == 1
+        assert result.data == serial.data
+
+    def test_memory_store_absorbs_worker_results(self):
+        from repro.store import MemoryStore
+
+        with Engine(store=MemoryStore(), parallel=2) as engine:
+            first = engine.run_grid(_secret_grid(4))
+            assert engine.stats()["store"]["entries"] == 4
+            second = engine.run_grid(_secret_grid(4))
+            assert engine.stats()["grid"]["resumed"] == 4
+        assert second.data == first.data
+
+    def test_identical_points_run_once(self):
+        from repro.scenario import ScenarioGrid, ScenarioSpec
+
+        spec = ScenarioSpec("simulate", attack="spectre_v1")
+        grid = ScenarioGrid.explicit([spec, spec, ScenarioSpec("simulate", attack="lvi")])
+        serial = Engine().run_grid(grid)
+        with Engine(parallel=2) as engine:
+            result = engine.run_grid(grid)
+        assert result.data == serial.data
+        assert result.payload[1].cache == "warm"  # the copy of point 0
+
+    @pytest.mark.parametrize("composite", ["sweep", "window"])
+    def test_quarantined_sub_point_stays_a_row(self, composite):
+        from repro.faults import FaultPlan, FaultSpec
+
+        plan = FaultPlan([FaultSpec(kind="exception", match="attack='meltdown'")])
+        with Engine(parallel=2, policy=_policy(), faults=plan) as engine:
+            if composite == "sweep":
+                result = engine.simulate_sweep(
+                    attacks=["meltdown", "spectre_v1"], defenses=[None]
+                )
+            else:
+                result = engine.ablate_window(
+                    ["meltdown", "spectre_v1"],
+                    window_grid=[(16, 8)],
+                    port_configs=[("unbounded", {})],
+                )
+        assert result.ok is False
+        assert result.data["quarantined"] == 1
+        rows = result.data["rows"]
+        assert [row.get("error") for row in rows] == ["FaultInjected", None]

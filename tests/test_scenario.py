@@ -379,6 +379,7 @@ class TestRunSpine:
         assert runs["simulate"] == 1   # the sweep's row went through run() too
         assert runs["evaluate"] == 1
 
+    @pytest.mark.batch
     def test_run_grid_parallel_matches_serial(self):
         grid = ScenarioGrid(
             "simulate",

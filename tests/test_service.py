@@ -290,6 +290,22 @@ class TestHttpService:
         assert stats["engine"]["service"]["requests"] == 2
         assert stats["window"]["runs"].get("exploit") == 1
 
+    def test_artifact_cache_hit_is_not_a_store_hit(self, tmp_path):
+        """ridl and zombieload share the mds timing run: the second request
+        is an engine artifact-cache hit, not a store hit."""
+        store = DiskStore(root=str(tmp_path), version="svc")
+        engine = Engine(store=store)
+        with ServiceThread(engine=engine, config=ServiceConfig()) as handle:
+            client = ServiceClient(handle.url)
+            for attack in ("ridl", "zombieload"):
+                envelope = client.run({"kind": "simulate", "params": {"attack": attack}})
+                assert envelope["hit"] == "computed"
+            hits = client.stats()["service"]["hits"]
+        engine.close()
+        assert hits["computed"] == 2
+        assert hits["disk"] == 0
+        assert store.stats()["hits"] == 0
+
     def test_concurrent_http_clients_share_one_compute(self, tmp_path):
         engine = Engine(store=DiskStore(root=str(tmp_path), version="svc"))
         payload = {

@@ -273,6 +273,7 @@ class TestEngineStore:
             }
         assert warm.cache == "warm" and warm.data == cold.data
 
+    @pytest.mark.batch
     def test_sharded_grid_workers_share_the_disk_store(self, tmp_path):
         from repro.scenario import ScenarioGrid
 

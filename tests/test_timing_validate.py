@@ -76,6 +76,7 @@ class TestTheorem1CrossValidation:
         assert result.data["agreeing"] == result.data["attacks"] == len(keys())
         assert result.data["disagreeing"] == []
 
+    @pytest.mark.batch
     def test_cross_validate_through_engine_map_matches_serial(self):
         with Engine() as engine:
             sharded = cross_validate(
@@ -127,6 +128,7 @@ class TestTheorem1UnderContention:
 class TestFullTimingSweep:
     """The long (attack x defense) timing sweep, excluded from tier-1."""
 
+    @pytest.mark.batch
     def test_sweep_covers_the_grid_and_matches_serial(self):
         with Engine() as engine:
             sharded = engine.simulate_sweep(parallel=2)
