@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine import Engine, FailurePolicy
 from repro.faults import FaultPlan, FaultSpec
-from repro.perf import THRESHOLDS, measure_grid_resume
+from repro.perf import gate, measure_grid_resume
 from repro.scenario import ScenarioGrid
 from repro.store import DiskStore
 
@@ -31,10 +31,13 @@ def test_checkpoint_overhead_and_resume(benchmark):
         f"{record['resume_seconds'] * 1e3:.0f} ms, "
         f"{record['resume_recomputed']} recomputed"
     )
-    assert record["resume_recomputed"] == 0
+    assert gate("grid-resume-overhead", "resume_recomputed").holds(
+        record["resume_recomputed"]
+    )
     # The CI floor runs at 200 points where the fixed costs amortize; the
     # 50-point smoke keeps a slack factor on the same ceiling.
-    assert record["overhead_fraction"] <= 3 * THRESHOLDS["grid_resume_overhead_max"]
+    ceiling = gate("grid-resume-overhead", "overhead_fraction").bound
+    assert record["overhead_fraction"] <= 3 * ceiling
 
 
 @pytest.mark.experiment("E19")

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.engine import Engine
+from repro.perf import gate
 from repro.scenario import ScenarioGrid, ScenarioSpec
 from repro.store import DiskStore
 
@@ -49,7 +50,7 @@ def test_disk_warm_run_is_5x_over_cold(tmp_path, benchmark):
           f"warm {warm_seconds * 1e3:.2f} ms -> {speedup:.0f}x")
     assert warm.cache == "warm"
     assert warm.data == cold.data  # byte-identical rows
-    assert speedup >= 5.0
+    assert gate("engine-disk-warm-run", "speedup_warm_disk").holds(speedup)
 
 
 @pytest.mark.experiment("E18")

@@ -15,7 +15,7 @@ import asyncio
 import pytest
 
 from repro.engine import Engine
-from repro.perf import THRESHOLDS, measure_service_throughput
+from repro.perf import gate, measure_service_throughput
 from repro.scenario import ScenarioSpec
 from repro.service.server import AnalysisService, ServiceConfig
 from repro.store import MemoryStore
@@ -34,9 +34,9 @@ def test_concurrent_load_deduplicates_to_unique_specs(benchmark):
         f"{record['requests_per_second']:.0f} req/s, "
         f"p50 {record['p50_ms']:.1f} ms / p99 {record['p99_ms']:.1f} ms"
     )
-    assert record["perfect_dedup"]
+    assert gate("service-throughput", "perfect_dedup").holds(record["perfect_dedup"])
     assert record["completed"] == record["requests"]
-    assert record["dedup_hit_rate"] >= THRESHOLDS["service_dedup_hit_rate_min"]
+    assert gate("service-throughput", "dedup_hit_rate").holds(record["dedup_hit_rate"])
 
 
 @pytest.mark.experiment("E20")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Engine, _batch_point_spec
-from repro.perf import THRESHOLDS, measure_timing_batch
+from repro.perf import gate, measure_timing_batch
 from repro.uarch.timing.validate import SCENARIOS
 
 
@@ -28,7 +28,7 @@ def test_batch_campaign_is_10x_over_per_point_loop():
     the differential identity.
     """
     record = measure_timing_batch()
-    floor = THRESHOLDS["timing_batch_speedup_min"]
+    floor = gate("timing-batch", "speedup_batch_vs_per_point")
     print(
         f"\ntiming batch: {record['points']} points "
         f"({record['unique_simulations']} unique sims): per-point "
@@ -37,7 +37,7 @@ def test_batch_campaign_is_10x_over_per_point_loop():
         f"{record['speedup_batch_vs_per_point']:.1f}x"
     )
     assert record["points"] == record["epochs"] * 2 * len(SCENARIOS)
-    assert record["speedup_batch_vs_per_point"] >= floor
+    assert floor.holds(record["speedup_batch_vs_per_point"])
 
 
 @pytest.mark.experiment("E21")

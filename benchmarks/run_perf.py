@@ -1,76 +1,15 @@
 #!/usr/bin/env python
-"""Run the TSG-core perf suite and append the results to BENCH_core.json.
+"""``repro perf`` from a checkout, with the same flags (``repro perf --help``).
 
-Usage (from the repo root)::
-
-    PYTHONPATH=src python benchmarks/run_perf.py [--output BENCH_core.json] [--quick]
-
-Also available as the ``repro perf`` CLI subcommand.  Each invocation appends
-one commit-stamped run to the trajectory file so regressions across PRs are
-visible as a time series.
+``python benchmarks/run_perf.py [--quick | --full] [-o FILE]`` appends a run
+stamped with the sources' digest; ``--check [--allow-stale]`` grades it.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
 
-try:
-    from repro import perf
-except ImportError:  # pragma: no cover - direct invocation without PYTHONPATH
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    )
-    from repro import perf
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output", "-o", default="BENCH_core.json", help="trajectory file to append to"
-    )
-    budget = parser.add_mutually_exclusive_group()
-    budget.add_argument(
-        "--quick", action="store_true", help="smaller baseline budget, single repeat"
-    )
-    budget.add_argument(
-        "--full",
-        action="store_true",
-        help="run the full 500-instruction rescan baseline (default: 200)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="do not benchmark; check the recorded trajectory against the "
-        "ROADMAP regression thresholds and exit non-zero on failure",
-    )
-    parser.add_argument(
-        "--allow-stale",
-        action="store_true",
-        help="with --check: tolerate a latest record whose commit differs "
-        "from HEAD (still warns)",
-    )
-    args = parser.parse_args(argv)
-    if args.check:
-        return perf.run_check(args.output, allow_stale=args.allow_stale)
-    run = perf.main(output=args.output, quick=args.quick, full=args.full)
-    print(f"commit {run['commit']}  ({run['timestamp']})")
-    for record in run["results"]:
-        print(
-            f"  {record['graph']:>14}: {record['vertices']} vertices / "
-            f"{record['edges']} edges, {record['racing_pairs']} racing pairs | "
-            f"all-pairs races: closure {record['closure_all_pairs_seconds'] * 1e3:.2f} ms "
-            f"vs BFS {record['bfs_all_pairs_seconds_estimate'] * 1e3:.1f} ms "
-            f"({record['bfs_baseline_mode']}) -> {record['speedup_all_pairs']:.0f}x | "
-            f"ordering count ({record['count_orderings_digits']} digits) "
-            f"in {record['count_orderings_seconds'] * 1e3:.2f} ms"
-        )
-    for line in perf.format_engine_records(run):
-        print(f"  {line}")
-    print(f"appended to {args.output}")
-    return 0
-
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["perf", *sys.argv[1:]]))

@@ -645,7 +645,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     if args.check:
         return perf.run_check(args.output, allow_stale=args.allow_stale)
     run = perf.main(output=args.output, quick=args.quick, full=args.full)
-    print(f"commit {run['commit']}  ({run['timestamp']})")
+    print(f"source {run['source_digest'][:12]}  ({run['timestamp']})")
     for record in run["results"]:
         print(
             f"  {record['graph']}: all-pairs races "
@@ -1038,7 +1038,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "regression thresholds instead of benchmarking")
     perf_parser.add_argument("--allow-stale", action="store_true",
                              help="with --check: tolerate a latest record whose "
-                                  "commit differs from HEAD (still warns)")
+                                  "source digest differs from the current "
+                                  "repro sources (still warns)")
     perf_parser.set_defaults(handler=_cmd_perf)
 
     return parser

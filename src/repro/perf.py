@@ -5,35 +5,40 @@ Measures the hot analyses the repo's upper layers bottom out in:
 * all-pairs race detection (Theorem 1 over every vertex pair) and valid-
   ordering counts on synthetic layered DAGs of 50 / 200 / 500 vertices,
   comparing the bitset-closure fast paths against the seed's BFS-per-query
-  baseline (PR 1),
-* the :class:`repro.engine.Engine` session API (PR 2): warm-cache
-  ``analyze`` against a cold attack-graph build, and the sharded
-  attack-space sweep against the per-combination free-function baseline, and
-* the event-driven OoO timing scheduler (PR 3): the heap-based wakeup engine
+  baseline,
+* the :class:`repro.engine.Engine` session API: warm-cache ``analyze``
+  against a cold attack-graph build, the verdict-cached attack-space sweep
+  against the per-combination free-function loop, the disk store, grid
+  checkpoint/resume and the analysis service, and
+* the event-driven OoO timing scheduler: the heap-based wakeup engine
   against the naive every-instruction-per-cycle rescan baseline on a
   serialized-miss program (200 instructions by default, 500 behind
   ``--full`` -- the quadratic rescan cost is the suite's wall-clock hog),
-  both uncontended and under the contended (FU-port / CDB) model (PR 4).
+  both uncontended and under the contended (FU-port / CDB) model, plus the
+  batch simulation plane and the differential fuzzing campaign.
 
-Results are appended as one commit-stamped run to a ``BENCH_core.json``
-trajectory so future PRs can track regressions; :func:`check_thresholds`
-turns the ROADMAP's regression limits into a pass/fail gate
-(``benchmarks/run_perf.py --check`` / ``repro perf --check``).
+Each run is appended to a ``BENCH_core.json`` trajectory, stamped with
+:func:`source_digest` -- a SHA-256 over the package's ``.py`` sources -- so a
+check can tell whether a record measured the code it would certify.
+:data:`GATES` declares every regression gate once: ``repro perf --check``
+grades, prints and fails on it, and the ``benchmarks/bench_*.py`` floors read
+their bounds from it.
 
-Used by ``benchmarks/run_perf.py``, the ``repro perf`` CLI subcommand, and
-(with smaller budgets) by ``benchmarks/bench_perf_core.py``.
+Used by the ``repro perf`` CLI subcommand (``benchmarks/run_perf.py``
+forwards to it) and, with smaller budgets, by ``benchmarks/``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import operator
 import random
-import subprocess
 import time
 from collections import deque
 from itertools import combinations
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core.tsg import TopologicalSortGraph
 
@@ -150,8 +155,7 @@ def measure_graph(
     The closure side always runs the *full* all-pairs analysis.  The BFS
     baseline runs on at most ``baseline_pair_budget`` pairs (a deterministic
     sample) and is extrapolated to the full pair count, because the full
-    quadratic baseline on a 500-vertex graph takes minutes -- which is the
-    point of this PR.
+    quadratic baseline on a 500-vertex graph takes minutes.
     """
     vertices = graph.vertices
     all_pairs = list(combinations(vertices, 2))
@@ -167,8 +171,8 @@ def measure_graph(
     bfs_seconds, bfs_races = _best_of(lambda: bfs_racing_pairs(graph, sample), 1)
     bfs_all_pairs_estimate = bfs_seconds * (len(all_pairs) / len(sample))
 
-    if baseline_mode == "full":
-        assert set(bfs_races) == set(closure_races), "closure and BFS disagree"
+    if baseline_mode == "full" and set(bfs_races) != set(closure_races):
+        raise RuntimeError("closure and BFS race detection disagree")
 
     record: Dict[str, object] = {
         "graph": graph.name,
@@ -199,7 +203,7 @@ def measure_graph(
 
 
 # ----------------------------------------------------------------------
-# Engine benchmarks (PR 2): warm-cache analyze, sharded attack space
+# Engine benchmarks: warm-cache analyze, attack space, store, service
 # ----------------------------------------------------------------------
 def build_analysis_program(gadgets: int = 8):
     """A synthetic victim: ``gadgets`` independent Listing-1 style gadgets.
@@ -491,53 +495,34 @@ def _legacy_attack_space_rows() -> List[Tuple]:
     return rows
 
 
-def measure_engine_attack_space(workers: int = 2, repeats: int = 3) -> Dict[str, object]:
-    """Serial free-function sweep vs the engine's attack-space sweep.
+def measure_engine_attack_space(repeats: int = 3) -> Dict[str, object]:
+    """The pre-engine free-function sweep vs the engine's attack-space sweep.
 
     The engine wins through its verdict cache: structurally identical
     ``(source, delay)`` combinations share one graph build + leak analysis.
-    The sweep runs in process even when asked for ``workers`` (a pooled
-    sweep measured no faster); the record keeps its name and fields.  The
-    serial baseline is the pre-engine per-combination sweep.
+    The baseline is the pre-engine per-combination sweep; both must count
+    the same leaking combinations.
     """
     from .engine import Engine
 
     legacy_seconds, legacy_rows = _best_of(_legacy_attack_space_rows, repeats)
-    serial_seconds, serial_result = _best_of(lambda: Engine().synthesize(), repeats)
-    with Engine() as engine:
-        engine.map(abs, [-1, 1], parallel=workers)  # spin up the session pool
-
-        def sharded_cold_sweep():
-            # Drop the session's synth caches so every repeat measures a
-            # cold sharded sweep (with a warm pool), not a cache replay.
-            engine.invalidate("synth_verdicts")
-            engine.invalidate("synth_graphs")
-            return engine.synthesize(parallel=workers)
-
-        sharded_seconds, sharded_result = _best_of(sharded_cold_sweep, repeats)
-    if sharded_result.data != serial_result.data:
-        raise RuntimeError("sharded attack-space sweep diverged from serial")
+    engine_seconds, result = _best_of(lambda: Engine().synthesize(), repeats)
     legacy_leaks = sum(1 for row in legacy_rows if row[2])
-    if legacy_leaks != sharded_result.data["leaking"]:
+    if legacy_leaks != result.data["leaking"]:
         raise RuntimeError("engine sweep diverged from the legacy baseline")
     return {
-        "benchmark": "engine-attack-space-sharded",
-        "combinations": sharded_result.data["combinations"],
-        "workers": workers,
+        "benchmark": "engine-attack-space",
+        "combinations": result.data["combinations"],
         "serial_seconds": legacy_seconds,
-        "engine_serial_seconds": serial_seconds,
-        "engine_sharded_seconds": sharded_seconds,
-        "speedup_sharded_vs_serial": (
-            legacy_seconds / sharded_seconds if sharded_seconds > 0 else float("inf")
-        ),
+        "engine_serial_seconds": engine_seconds,
         "speedup_engine_serial_vs_serial": (
-            legacy_seconds / serial_seconds if serial_seconds > 0 else float("inf")
+            legacy_seconds / engine_seconds if engine_seconds > 0 else float("inf")
         ),
     }
 
 
 # ----------------------------------------------------------------------
-# Timing-core benchmarks (PR 3): event-driven scheduler vs per-cycle rescan
+# Timing-core benchmarks: event-driven scheduler vs per-cycle rescan
 # ----------------------------------------------------------------------
 def build_timing_program(instructions: int = 500, load_every: int = 7):
     """A straight-line program of ``instructions`` ops with serialized misses.
@@ -728,11 +713,9 @@ def run_perf_suite(
     baseline_pair_budget: int = 4000,
     repeats: int = 3,
     include_engine: bool = True,
-    engine_workers: int = 2,
-    include_timing: bool = True,
     timing_instructions: int = 500,
 ) -> Dict[str, object]:
-    """Run the full suite and return one commit-stamped run record."""
+    """Run the full suite and return one source-stamped run record."""
     results = []
     for vertices, width, extra in sizes:
         graph = build_layered_dag(vertices, width=width, extra_edges=extra)
@@ -744,44 +727,43 @@ def run_perf_suite(
             )
         )
     run: Dict[str, object] = {
-        "commit": _git_commit(),
+        "source_digest": source_digest(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "results": results,
     }
     if include_engine:
         run["engine_results"] = [
             measure_engine_analyze(repeats=repeats),
-            measure_engine_attack_space(workers=engine_workers, repeats=repeats),
+            measure_engine_attack_space(repeats=repeats),
             measure_disk_store(repeats=repeats),
             measure_grid_resume(repeats=min(repeats, 2)),
             measure_service_throughput(),
         ]
-    if include_timing:
-        run["timing_results"] = [
-            measure_timing_scheduler(instructions=timing_instructions, repeats=repeats),
-            measure_contended_scheduler(
-                instructions=timing_instructions, repeats=repeats
-            ),
-            measure_timing_batch(),
-        ]
+    run["timing_results"] = [
+        measure_timing_scheduler(instructions=timing_instructions, repeats=repeats),
+        measure_contended_scheduler(instructions=timing_instructions, repeats=repeats),
+        measure_timing_batch(),
+    ]
     if include_engine:
         run["fuzz_results"] = [measure_fuzz_throughput()]
     return run
 
 
-def _git_commit() -> str:
-    try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "HEAD"],
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=10,
-            ).stdout.strip()
-        )
-    except Exception:  # pragma: no cover - git absent or not a repo
-        return "unknown"
+def source_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` sources (names + bytes).
+
+    The stamp on every run: it names the code a record measured without git
+    or the working directory, and commits that touch only docs or the
+    trajectory file leave it unchanged.
+    """
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    names = sorted(path.relative_to(root).as_posix() for path in root.rglob("*.py"))
+    for name in names:
+        data = (root / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def append_run(path: str, run: Dict[str, object]) -> Dict[str, object]:
@@ -796,45 +778,103 @@ def append_run(path: str, run: Dict[str, object]) -> Dict[str, object]:
     return trajectory
 
 
-#: ROADMAP regression thresholds enforced by :func:`check_thresholds`.
-THRESHOLDS = {
-    "all_pairs_speedup_min": 10.0,  # closure vs seed BFS, every graph size
-    "warm_analyze_speedup_min": 5.0,  # warm Engine.analyze vs cold build
-    "sharded_sweep_speedup_min": 1.0,  # sharded sweep not slower than serial
+class Gate(NamedTuple):
+    """One regression gate: a recorded field held against a bound."""
+
+    label: str
+    family: str  # the run key holding the records, e.g. "engine_results"
+    benchmark: Optional[str]  # the records' name (the per-graph core records have none)
+    field: str
+    op: str  # ">=" a floor, "<=" a ceiling, "==" an exact pin
+    bound: object
+    fmt: str = "{:.1f}x"  # renders both the bound and the observed value
+
+    def holds(self, value: object) -> bool:
+        return _COMPARE[self.op](value, self.bound)
+
+    def worst(self, values: Sequence[object]) -> object:
+        """The lowest value under a floor, the highest under a ceiling, the
+        first mismatch under a pin."""
+        if self.op == ">=":
+            return min(values)
+        if self.op == "<=":
+            return max(values)
+        return next((value for value in values if value != self.bound), self.bound)
+
+
+_COMPARE = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
+
+#: The ROADMAP regression gates, each written once.  ``repro perf --check``
+#: grades, prints and fails on these rows; :func:`stale_records` checks the
+#: families they name; the ``benchmarks/bench_*.py`` floors read the bounds.
+GATES: Tuple[Gate, ...] = (
+    # Closure vs seed BFS, every graph size.
+    Gate("all-pairs race speedup (worst graph)", "results", None,
+         "speedup_all_pairs", ">=", 10.0),
+    # Warm Engine.analyze vs cold build.
+    Gate("warm Engine.analyze speedup", "engine_results",
+         "engine-analyze-warm-cache", "speedup_warm", ">=", 5.0),
+    # The engine's verdict-cached sweep must not be slower than the
+    # pre-engine per-combination free-function loop.
+    Gate("engine attack-space sweep vs free-function loop", "engine_results",
+         "engine-attack-space", "speedup_engine_serial_vs_serial", ">=", 1.0,
+         "{:.2f}x"),
     # A warm DiskStore hit in a fresh process/session must beat recomputing
     # the spec by a wide margin -- the point of the persistent artifact cache.
-    "disk_warm_speedup_min": 5.0,
-    "timing_event_speedup_min": 5.0,  # event queue vs per-cycle rescan
-    # The arbitrated (port/CDB contention) event path must keep beating the
-    # contended rescan loop by the same margin class.
-    "timing_contended_event_speedup_min": 5.0,
-    # The batch simulation plane must serve a campaign-shaped point list at
-    # >= 10x the points/sec of the isolated per-point loop (warm session
-    # amortization -- the ROADMAP "Raw speed" floor).
-    "timing_batch_speedup_min": 10.0,
+    Gate("warm DiskStore run vs cold", "engine_results", "engine-disk-warm-run",
+         "speedup_warm_disk", ">=", 5.0),
     # Checkpointing every grid point through the DiskStore must stay cheap
     # insurance: <= 10% over the plain in-memory grid on a clean 200-point
     # run, and a resume against the populated store recomputes nothing.
-    "grid_resume_overhead_max": 0.10,
+    Gate("grid checkpointing overhead", "engine_results", "grid-resume-overhead",
+         "overhead_fraction", "<=", 0.10, "{:.1%}"),
+    Gate("grid resume recomputed points", "engine_results",
+         "grid-resume-overhead", "resume_recomputed", "==", 0, "{:.0f}"),
     # An attached-but-disabled Tracer must be free: the engine's hot path
     # pays only a `tracer is None` / `.enabled` check per run, so the
     # tracing-off grid run stays within 2% of no tracer at all.
-    "trace_off_overhead_max": 0.02,
+    Gate("tracing-off grid overhead", "engine_results", "grid-resume-overhead",
+         "trace_off_overhead_fraction", "<=", 0.02, "{:.1%}"),
     # The analysis service must dedup the 50%-overlap load: with 8 clients
     # sharing half their specs the ideal hit-rate is ~0.44 (35/80); the
     # floor leaves headroom for workload-shape tweaks but catches a broken
     # single-flight (hit-rate 0) immediately.  Computed-equals-unique is
     # additionally pinned exactly via the record's perfect_dedup flag.
-    "service_dedup_hit_rate_min": 0.30,
+    Gate("service dedup hit-rate", "engine_results", "service-throughput",
+         "dedup_hit_rate", ">=", 0.30, "{:.1%}"),
+    Gate("service single-flight dedup (computed == unique specs)",
+         "engine_results", "service-throughput", "perfect_dedup", "==", True, "{}"),
+    # Event queue vs per-cycle rescan.
+    Gate("event-queue scheduler vs rescan", "timing_results",
+         "timing-event-queue", "speedup_event_vs_rescan", ">=", 5.0),
+    # The arbitrated (port/CDB contention) event path must keep beating the
+    # contended rescan loop by the same margin class.
+    Gate("contended event-queue scheduler vs rescan", "timing_results",
+         "timing-event-queue-contended", "speedup_event_vs_rescan", ">=", 5.0),
+    # The batch simulation plane must serve a campaign-shaped point list at
+    # >= 10x the points/sec of the isolated per-point loop (warm session
+    # amortization -- the ROADMAP "Raw speed" floor).
+    Gate("simulate_batch points/sec vs per-point loop", "timing_results",
+         "timing-batch", "speedup_batch_vs_per_point", ">=", 10.0),
     # The differential fuzzing campaign must push whole generated programs
     # through BOTH oracles (graph build + TSG verdict + cycle-accurate
     # timing run) at a usable campaign rate.  Measured ~600 points/s
     # serial; the floor leaves a wide machine-variance margin while still
     # catching an accidental O(n^2) in the generator or harness.  The same
-    # record pins disagreed == 0: the two oracles answering differently on
-    # a clean campaign is a soundness bug, enforced alongside the floors.
-    "fuzz_points_per_second_min": 50.0,
-}
+    # record pins disagreed == 0 -- the two oracles answering differently
+    # on a clean campaign is a soundness bug -- and quarantined == 0.
+    Gate("fuzz campaign programs/sec (both oracles)", "fuzz_results",
+         "fuzz-throughput", "points_per_second", ">=", 50.0, "{:.0f}/s"),
+    Gate("fuzz campaign oracle disagreements", "fuzz_results",
+         "fuzz-throughput", "disagreed", "==", 0, "{:.0f}"),
+    Gate("fuzz campaign quarantined points", "fuzz_results",
+         "fuzz-throughput", "quarantined", "==", 0, "{:.0f}"),
+)
+
+
+def gate(benchmark: Optional[str], field: str) -> Gate:
+    """The :data:`GATES` row that grades ``field`` of the ``benchmark`` records."""
+    return next(row for row in GATES if (row.benchmark, row.field) == (benchmark, field))
 
 
 def _latest_run_with(trajectory: Dict[str, object], key: str) -> Optional[Dict]:
@@ -844,296 +884,30 @@ def _latest_run_with(trajectory: Dict[str, object], key: str) -> Optional[Dict]:
     return None
 
 
-def check_thresholds(trajectory: Dict[str, object]) -> List[str]:
-    """Check the latest trajectory records against the ROADMAP thresholds.
-
-    Returns a list of human-readable failures (empty when everything holds).
-    Each benchmark family is checked on the most recent run that contains it,
-    so quick smoke runs (which skip the engine benchmarks) do not mask a
-    previously recorded full run.
-    """
-    failures: List[str] = []
-
-    graph_run = _latest_run_with(trajectory, "results")
-    if graph_run is None:
-        failures.append("no core (all-pairs race) benchmark recorded")
-    else:
-        for record in graph_run["results"]:
-            speedup = record["speedup_all_pairs"]
-            if speedup < THRESHOLDS["all_pairs_speedup_min"]:
-                failures.append(
-                    f"{record['graph']}: all-pairs race speedup {speedup:.1f}x "
-                    f"below the {THRESHOLDS['all_pairs_speedup_min']:.0f}x floor"
-                )
-
-    engine_run = _latest_run_with(trajectory, "engine_results")
-    if engine_run is None:
-        failures.append("no engine benchmark recorded")
-    else:
-        disk_seen = False
-        resume_seen = False
-        service_seen = False
-        for record in engine_run["engine_results"]:
-            if record["benchmark"] == "engine-analyze-warm-cache":
-                if record["speedup_warm"] < THRESHOLDS["warm_analyze_speedup_min"]:
-                    failures.append(
-                        f"warm Engine.analyze speedup {record['speedup_warm']:.1f}x "
-                        f"below the {THRESHOLDS['warm_analyze_speedup_min']:.0f}x floor"
-                    )
-            elif record["benchmark"] == "engine-attack-space-sharded":
-                speedup = record["speedup_sharded_vs_serial"]
-                if speedup < THRESHOLDS["sharded_sweep_speedup_min"]:
-                    failures.append(
-                        f"sharded attack-space sweep {speedup:.2f}x: slower than "
-                        "the serial free-function baseline"
-                    )
-            elif record["benchmark"] == "engine-disk-warm-run":
-                disk_seen = True
-                speedup = record["speedup_warm_disk"]
-                if speedup < THRESHOLDS["disk_warm_speedup_min"]:
-                    failures.append(
-                        f"warm DiskStore run {speedup:.1f}x over cold, below "
-                        f"the {THRESHOLDS['disk_warm_speedup_min']:.0f}x floor"
-                    )
-            elif record["benchmark"] == "grid-resume-overhead":
-                resume_seen = True
-                overhead = record["overhead_fraction"]
-                if overhead > THRESHOLDS["grid_resume_overhead_max"]:
-                    failures.append(
-                        f"grid checkpointing overhead {overhead:.1%} on "
-                        f"{record['points']} points, above the "
-                        f"{THRESHOLDS['grid_resume_overhead_max']:.0%} ceiling"
-                    )
-                if record.get("resume_recomputed", 0) != 0:
-                    failures.append(
-                        f"grid resume recomputed {record['resume_recomputed']} "
-                        "checkpointed points (expected 0)"
-                    )
-                trace_off = record.get("trace_off_overhead_fraction")
-                if trace_off is None:
-                    failures.append(
-                        "grid-resume record lacks the tracing-off overhead "
-                        "measurement (re-run repro perf)"
-                    )
-                elif trace_off > THRESHOLDS["trace_off_overhead_max"]:
-                    failures.append(
-                        f"disabled-tracer grid overhead {trace_off:.1%} on "
-                        f"{record['points']} points, above the "
-                        f"{THRESHOLDS['trace_off_overhead_max']:.0%} ceiling"
-                    )
-            elif record["benchmark"] == "service-throughput":
-                service_seen = True
-                hit_rate = record["dedup_hit_rate"]
-                if hit_rate < THRESHOLDS["service_dedup_hit_rate_min"]:
-                    failures.append(
-                        f"service dedup hit-rate {hit_rate:.1%} on "
-                        f"{record['clients']} clients x {record['requests']} "
-                        f"requests, below the "
-                        f"{THRESHOLDS['service_dedup_hit_rate_min']:.0%} floor"
-                    )
-                if not record.get("perfect_dedup", False):
-                    failures.append(
-                        f"service computed {record['computed']} points for "
-                        f"{record['unique_specs']} unique specs (single-flight "
-                        "+ store dedup must make these equal)"
-                    )
-        if not disk_seen:
-            failures.append("no disk-store (warm spec run) benchmark recorded")
-        if not resume_seen:
-            failures.append("no grid-resume (checkpointed grid) benchmark recorded")
-        if not service_seen:
-            failures.append("no service-throughput (load generator) benchmark recorded")
-
-    timing_run = _latest_run_with(trajectory, "timing_results")
-    if timing_run is None:
-        failures.append("no timing-scheduler benchmark recorded")
-    else:
-        contended_seen = False
-        batch_seen = False
-        for record in timing_run["timing_results"]:
-            if record.get("benchmark") == "timing-batch":
-                batch_seen = True
-                speedup = record["speedup_batch_vs_per_point"]
-                floor = THRESHOLDS["timing_batch_speedup_min"]
-                if speedup < floor:
-                    failures.append(
-                        f"simulate_batch {speedup:.1f}x points/sec over the "
-                        f"per-point loop on {record['points']} points, below "
-                        f"the {floor:.0f}x floor"
-                    )
-                continue
-            speedup = record["speedup_event_vs_rescan"]
-            if record.get("benchmark") == "timing-event-queue-contended":
-                contended_seen = True
-                floor = THRESHOLDS["timing_contended_event_speedup_min"]
-                label = "contended event-queue scheduler"
-            else:
-                floor = THRESHOLDS["timing_event_speedup_min"]
-                label = "event-queue scheduler"
-            if speedup < floor:
-                failures.append(
-                    f"{label} {speedup:.1f}x over rescan on "
-                    f"{record['instructions']} instructions, below the "
-                    f"{floor:.0f}x floor"
-                )
-        if not contended_seen:
-            failures.append("no contended event-scheduler benchmark recorded")
-        if not batch_seen:
-            failures.append("no timing-batch (simulate_batch) benchmark recorded")
-
-    fuzz_run = _latest_run_with(trajectory, "fuzz_results")
-    if fuzz_run is None:
-        failures.append("no fuzz-throughput (differential campaign) benchmark recorded")
-    else:
-        for record in fuzz_run["fuzz_results"]:
-            rate = record["points_per_second"]
-            floor = THRESHOLDS["fuzz_points_per_second_min"]
-            if rate < floor:
-                failures.append(
-                    f"fuzz campaign {rate:.0f} programs/s on "
-                    f"{record['count']} points, below the {floor:.0f}/s floor"
-                )
-            if record.get("disagreed", 0) != 0:
-                failures.append(
-                    f"fuzz campaign recorded {record['disagreed']} oracle "
-                    "disagreement(s) on a clean run (TSG vs timing must "
-                    "agree on every generated gadget)"
-                )
-            if record.get("quarantined", 0) != 0:
-                failures.append(
-                    f"fuzz campaign quarantined {record['quarantined']} "
-                    "point(s) on a clean run (expected 0)"
-                )
-
-    return failures
-
-
 def threshold_report(trajectory: Dict[str, object]) -> List[Dict[str, object]]:
-    """One row per ROADMAP floor: check, bound, observed value, pass/fail.
+    """One row per :data:`GATES` entry: check, bound, observed value, pass/fail.
 
-    The table behind ``repro perf --check``: every threshold in
-    :data:`THRESHOLDS` (plus the two exact invariants -- zero resume
-    recomputes and computed-equals-unique dedup) is shown against the
-    value the latest relevant run recorded.  A floor whose benchmark
-    family was never recorded reports ``missing`` and fails.
+    Each gate grades the worst value of its field across the matching
+    records of the latest run that holds the gate's family, so quick smoke
+    runs (which skip the engine benchmarks) do not mask a recorded full
+    run.  An absent record or field reads ``missing`` and fails.
     """
-    rows: List[Dict[str, object]] = []
-
-    def add(check: str, bound: str, observed: Optional[float],
-            ok: bool, fmt: str = "{:.1f}x") -> None:
-        rows.append({
-            "check": check,
-            "bound": bound,
-            "observed": fmt.format(observed) if observed is not None else "missing",
-            "ok": observed is not None and ok,
+    report: List[Dict[str, object]] = []
+    for row in GATES:
+        run = _latest_run_with(trajectory, row.family) or {}
+        values = [
+            record.get(row.field)
+            for record in run.get(row.family, ())
+            if record.get("benchmark") == row.benchmark
+        ]
+        observed = row.worst(values) if values and None not in values else None
+        report.append({
+            "check": row.label,
+            "bound": f"{row.op} {row.fmt.format(row.bound)}",
+            "observed": "missing" if observed is None else row.fmt.format(observed),
+            "ok": observed is not None and row.holds(observed),
         })
-
-    graph_run = _latest_run_with(trajectory, "results")
-    speedups = (
-        [record["speedup_all_pairs"] for record in graph_run["results"]]
-        if graph_run and graph_run["results"] else []
-    )
-    worst = min(speedups) if speedups else None
-    add("all-pairs race speedup (worst graph)",
-        f">= {THRESHOLDS['all_pairs_speedup_min']:.0f}x",
-        worst, worst is not None and worst >= THRESHOLDS["all_pairs_speedup_min"])
-
-    engine_run = _latest_run_with(trajectory, "engine_results")
-    records = (
-        {record["benchmark"]: record for record in engine_run["engine_results"]}
-        if engine_run else {}
-    )
-    warm = records.get("engine-analyze-warm-cache", {}).get("speedup_warm")
-    add("warm Engine.analyze speedup",
-        f">= {THRESHOLDS['warm_analyze_speedup_min']:.0f}x",
-        warm, warm is not None and warm >= THRESHOLDS["warm_analyze_speedup_min"])
-    sharded = records.get(
-        "engine-attack-space-sharded", {}
-    ).get("speedup_sharded_vs_serial")
-    add("sharded attack-space sweep vs serial",
-        f">= {THRESHOLDS['sharded_sweep_speedup_min']:.0f}x",
-        sharded,
-        sharded is not None and sharded >= THRESHOLDS["sharded_sweep_speedup_min"],
-        fmt="{:.2f}x")
-    disk = records.get("engine-disk-warm-run", {}).get("speedup_warm_disk")
-    add("warm DiskStore run vs cold",
-        f">= {THRESHOLDS['disk_warm_speedup_min']:.0f}x",
-        disk, disk is not None and disk >= THRESHOLDS["disk_warm_speedup_min"])
-    resume = records.get("grid-resume-overhead", {})
-    overhead = resume.get("overhead_fraction")
-    add("grid checkpointing overhead",
-        f"<= {THRESHOLDS['grid_resume_overhead_max']:.0%}",
-        overhead,
-        overhead is not None and overhead <= THRESHOLDS["grid_resume_overhead_max"],
-        fmt="{:.1%}")
-    recomputed = resume.get("resume_recomputed")
-    add("grid resume recomputed points", "== 0",
-        recomputed, recomputed == 0, fmt="{:.0f}")
-    trace_off = resume.get("trace_off_overhead_fraction")
-    add("tracing-off grid overhead",
-        f"<= {THRESHOLDS['trace_off_overhead_max']:.0%}",
-        trace_off,
-        trace_off is not None and trace_off <= THRESHOLDS["trace_off_overhead_max"],
-        fmt="{:.1%}")
-    service = records.get("service-throughput", {})
-    hit_rate = service.get("dedup_hit_rate")
-    add("service dedup hit-rate",
-        f">= {THRESHOLDS['service_dedup_hit_rate_min']:.0%}",
-        hit_rate,
-        hit_rate is not None
-        and hit_rate >= THRESHOLDS["service_dedup_hit_rate_min"],
-        fmt="{:.1%}")
-    computed = service.get("computed")
-    add("service computed points (vs unique specs)",
-        f"== {service.get('unique_specs', '?')}",
-        computed, bool(service.get("perfect_dedup", False)), fmt="{:.0f}")
-
-    timing_run = _latest_run_with(trajectory, "timing_results")
-    plain_speedups: List[float] = []
-    contended_speedups: List[float] = []
-    batch_speedups: List[float] = []
-    for record in (timing_run or {}).get("timing_results", []):
-        if record.get("benchmark") == "timing-batch":
-            batch_speedups.append(record["speedup_batch_vs_per_point"])
-            continue
-        bucket = (
-            contended_speedups
-            if record.get("benchmark") == "timing-event-queue-contended"
-            else plain_speedups
-        )
-        bucket.append(record["speedup_event_vs_rescan"])
-    timing = min(plain_speedups) if plain_speedups else None
-    add("event-queue scheduler vs rescan",
-        f">= {THRESHOLDS['timing_event_speedup_min']:.0f}x",
-        timing,
-        timing is not None and timing >= THRESHOLDS["timing_event_speedup_min"])
-    contended = min(contended_speedups) if contended_speedups else None
-    add("contended event-queue scheduler vs rescan",
-        f">= {THRESHOLDS['timing_contended_event_speedup_min']:.0f}x",
-        contended,
-        contended is not None
-        and contended >= THRESHOLDS["timing_contended_event_speedup_min"])
-    batch = min(batch_speedups) if batch_speedups else None
-    add("simulate_batch points/sec vs per-point loop",
-        f">= {THRESHOLDS['timing_batch_speedup_min']:.0f}x",
-        batch,
-        batch is not None and batch >= THRESHOLDS["timing_batch_speedup_min"])
-
-    fuzz_run = _latest_run_with(trajectory, "fuzz_results")
-    fuzz = (
-        {record["benchmark"]: record for record in fuzz_run["fuzz_results"]}
-        if fuzz_run else {}
-    ).get("fuzz-throughput", {})
-    rate = fuzz.get("points_per_second")
-    add("fuzz campaign programs/sec (both oracles)",
-        f">= {THRESHOLDS['fuzz_points_per_second_min']:.0f}/s",
-        rate,
-        rate is not None and rate >= THRESHOLDS["fuzz_points_per_second_min"],
-        fmt="{:.0f}/s")
-    disagreed = fuzz.get("disagreed")
-    add("fuzz campaign oracle disagreements", "== 0",
-        disagreed, disagreed == 0, fmt="{:.0f}")
-    return rows
+    return report
 
 
 def format_threshold_report(rows: List[Dict[str, object]]) -> List[str]:
@@ -1162,69 +936,55 @@ def format_threshold_report(rows: List[Dict[str, object]]) -> List[str]:
     return lines
 
 
-def check_trajectory(path: str) -> List[str]:
-    """Load a ``BENCH_core.json`` file and run :func:`check_thresholds`."""
-    target = Path(path)
-    if not target.exists():
-        return [f"trajectory file {path!r} does not exist"]
-    return check_thresholds(json.loads(target.read_text(encoding="utf-8")))
-
-
 def stale_records(trajectory: Dict[str, object]) -> List[str]:
-    """Benchmark families whose latest record predates the HEAD commit.
+    """Gated families whose latest record measured other sources.
 
-    ``repro perf --check`` compares floors against the most recent run of
-    each family; when that run was stamped by a *different* commit than the
-    working tree's HEAD, the table silently grades old code.  Returns one
-    human-readable line per stale family (empty when every checked record
-    matches HEAD, or when no commit can be resolved at all).
+    ``repro perf --check`` grades the most recent run of each family; when
+    that run does not carry the current :func:`source_digest` (including an
+    unstamped run), the table would silently certify other code.  Returns
+    one human-readable line per stale family.
     """
-    head = _git_commit()
-    if head == "unknown":
-        return []
+    digest = source_digest()
     stale = []
-    for key, label in (
-        ("results", "core (all-pairs race)"),
-        ("engine_results", "engine"),
-        ("timing_results", "timing-scheduler"),
-        ("fuzz_results", "fuzz-throughput"),
-    ):
-        run = _latest_run_with(trajectory, key)
+    for family in dict.fromkeys(row.family for row in GATES):
+        run = _latest_run_with(trajectory, family)
         if run is None:
-            continue  # the missing-family failure is check_thresholds' job
-        commit = run.get("commit", "unknown")
-        if commit != head:
+            continue  # the table already reads this family's gates as missing
+        stamp = run.get("source_digest")
+        if stamp != digest:
             stale.append(
-                f"latest {label} record is from commit {str(commit)[:12]}, "
-                f"but HEAD is {head[:12]} (re-run `repro perf`)"
+                f"latest {family} record carries source digest "
+                f"{str(stamp)[:12]}, but the sources hash to {digest[:12]} "
+                "(re-run `repro perf`)"
             )
     return stale
 
 
 def run_check(path: str, allow_stale: bool = False) -> int:
-    """CLI body shared by ``repro perf --check`` and ``run_perf.py --check``.
+    """CLI body of ``repro perf --check``.
 
-    Prints the full pass/fail table of every ROADMAP floor, then one
-    ``FAIL: ...`` line per violated threshold (or the all-clear), and
-    returns the process exit code.  A latest record stamped by a commit
-    other than HEAD is graded as a failure -- the floors would silently
-    certify old code -- unless ``allow_stale`` downgrades it to a warning.
+    Prints the pass/fail table of every :data:`GATES` row, then one
+    ``FAIL: ...`` line per failing row (or the all-clear), and returns the
+    process exit code.  A latest record that measured other sources is
+    graded as a failure -- the gates would silently certify other code --
+    unless ``allow_stale`` downgrades it to a warning.
     """
     target = Path(path)
     if not target.exists():
         print(f"FAIL: trajectory file {path!r} does not exist")
         return 1
     trajectory = json.loads(target.read_text(encoding="utf-8"))
-    for line in format_threshold_report(threshold_report(trajectory)):
+    rows = threshold_report(trajectory)
+    for line in format_threshold_report(rows):
         print(line)
     print()
     stale = stale_records(trajectory)
     for line in stale:
         label = "WARNING (stale, tolerated)" if allow_stale else "FAIL"
         print(f"{label}: {line}")
-    failures = check_thresholds(trajectory)
-    for failure in failures:
-        print(f"FAIL: {failure}")
+    failures = [row for row in rows if not row["ok"]]
+    for row in failures:
+        print(f"FAIL: {row['check']}: observed {row['observed']}, bound {row['bound']}")
     if not failures and not stale:
         print(f"{path}: all perf thresholds hold")
     elif not failures and allow_stale:
@@ -1237,11 +997,10 @@ def run_check(path: str, allow_stale: bool = False) -> int:
 def main(
     output: str = "BENCH_core.json", quick: bool = False, full: bool = False
 ) -> Dict[str, object]:
-    """Entry point shared by ``benchmarks/run_perf.py`` and ``repro perf``.
+    """Entry point of ``repro perf`` (``benchmarks/run_perf.py`` forwards to it).
 
-    ``quick`` is the CI smoke path: two graph sizes, one repeat, a shorter
-    timing program, and no engine benchmarks (spawning the process pool
-    dominates on small budgets).  The default run keeps the timing-scheduler
+    ``quick`` is the CI smoke path: two graph sizes, one repeat, and no
+    engine or fuzz benchmarks.  The default run keeps the timing-scheduler
     comparison on the 200-instruction program -- the full 500-instruction
     rescan baseline takes most of the suite's wall clock (that O(cycles x
     in-flight) cost is the point of the event engine) and is demoted behind
@@ -1299,12 +1058,12 @@ def format_engine_records(run: Dict[str, object]) -> List[str]:
                 f"{record['warm_seconds'] * 1e6:.1f} us -> "
                 f"{record['speedup_warm']:.0f}x warm-cache speedup"
             )
-        elif record["benchmark"] == "engine-attack-space-sharded":
+        elif record["benchmark"] == "engine-attack-space":
             lines.append(
-                f"attack space ({record['combinations']} combos): serial sweep "
-                f"{record['serial_seconds'] * 1e3:.1f} ms vs engine sharded "
-                f"(x{record['workers']}) {record['engine_sharded_seconds'] * 1e3:.1f} ms "
-                f"-> {record['speedup_sharded_vs_serial']:.1f}x"
+                f"attack space ({record['combinations']} combos): free-function "
+                f"loop {record['serial_seconds'] * 1e3:.1f} ms vs engine sweep "
+                f"{record['engine_serial_seconds'] * 1e3:.1f} ms -> "
+                f"{record['speedup_engine_serial_vs_serial']:.2f}x"
             )
         elif record["benchmark"] == "engine-disk-warm-run":
             lines.append(

@@ -460,18 +460,16 @@ def test_progress_rate_clamped_below_measurable_elapsed():
     assert "ETA 0s" in line and "-- pts/s" in line
 
 
-def _fake_trajectory(tmp_path, commit: str):
+def _fake_trajectory(tmp_path, stamp: str):
     path = tmp_path / "BENCH.json"
     path.write_text(
-        json.dumps({"benchmark": "x", "runs": [{"commit": commit, "results": [1]}]})
+        json.dumps({"benchmark": "x", "runs": [{"source_digest": stamp, "results": [1]}]})
     )
     return path
 
 
 def test_perf_check_fails_on_stale_commit(tmp_path, monkeypatch, capsys):
-    """A record stamped by a non-HEAD commit fails unless --allow-stale."""
-    monkeypatch.setattr(perf, "_git_commit", lambda: "headheadhead")
-    monkeypatch.setattr(perf, "check_thresholds", lambda trajectory: [])
+    """A record stamped with other sources' digest fails unless --allow-stale."""
     monkeypatch.setattr(perf, "threshold_report", lambda trajectory: [])
     stale_path = _fake_trajectory(tmp_path, "oldoldold")
     assert perf.run_check(str(stale_path)) == 1
@@ -479,11 +477,11 @@ def test_perf_check_fails_on_stale_commit(tmp_path, monkeypatch, capsys):
     assert perf.run_check(str(stale_path), allow_stale=True) == 0
     out = capsys.readouterr().out
     assert "WARNING (stale, tolerated)" in out
-    fresh_path = _fake_trajectory(tmp_path, "headheadhead")
+    fresh_path = _fake_trajectory(tmp_path, perf.source_digest())
     assert perf.run_check(str(fresh_path)) == 0
     assert "all perf thresholds hold" in capsys.readouterr().out
 
 
-def test_stale_records_empty_when_head_unknown(monkeypatch):
-    monkeypatch.setattr(perf, "_git_commit", lambda: "unknown")
-    assert perf.stale_records({"runs": [{"commit": "abc", "results": [1]}]}) == []
+def test_stale_records_flags_an_unstamped_record():
+    [line] = perf.stale_records({"runs": [{"results": [1]}]})
+    assert "latest results record" in line

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro import perf
 from repro.cli import build_parser, main
 
 LISTING1 = """
@@ -285,6 +287,45 @@ GOOD_SERVICE_RECORD = {
 }
 
 
+def _healthy_run():
+    """One run stamped with the current sources on which every gate passes."""
+    return {
+        "source_digest": perf.source_digest(),
+        "results": [
+            {"graph": "layered-50v", "speedup_all_pairs": 80.0},
+            {"graph": "layered-200v", "speedup_all_pairs": 1000.0},
+        ],
+        "engine_results": [
+            {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
+            {"benchmark": "engine-attack-space",
+             "speedup_engine_serial_vs_serial": 4.0},
+            {"benchmark": "engine-disk-warm-run", "speedup_warm_disk": 100.0},
+            {"benchmark": "grid-resume-overhead", "overhead_fraction": 0.02,
+             "resume_recomputed": 0, "trace_off_overhead_fraction": 0.01},
+            dict(GOOD_SERVICE_RECORD),
+        ],
+        "timing_results": [
+            {"benchmark": "timing-event-queue", "speedup_event_vs_rescan": 100.0},
+            {"benchmark": "timing-event-queue-contended",
+             "speedup_event_vs_rescan": 80.0},
+            {"benchmark": "timing-batch", "speedup_batch_vs_per_point": 15.0},
+        ],
+        "fuzz_results": [
+            {"benchmark": "fuzz-throughput", "points_per_second": 600.0,
+             "disagreed": 0, "quarantined": 0},
+        ],
+    }
+
+
+def _violating(gate):
+    """A value just outside ``gate``'s bound."""
+    if gate.op == ">=":
+        return gate.bound / 2
+    if gate.op == "<=":
+        return gate.bound * 2
+    return not gate.bound if isinstance(gate.bound, bool) else gate.bound + 1
+
+
 class TestPerfCheck:
     def test_perf_quick_smoke_and_check_roundtrip(self, tmp_path, capsys):
         output = tmp_path / "bench.json"
@@ -307,17 +348,15 @@ class TestPerfCheck:
         assert by_name["timing-event-queue-contended"]["contended"] is True
         assert by_name["timing-batch"]["speedup_batch_vs_per_point"] > 1
 
-    def test_perf_check_fails_on_regression(self, tmp_path, capsys, monkeypatch):
-        # Pin the stale-record gate out of the way: these fabricated runs
-        # carry no commit stamp, and staleness has its own tests.
-        monkeypatch.setattr("repro.perf._git_commit", lambda: "unknown")
+    def test_perf_check_fails_on_regression(self, tmp_path, capsys):
         bad = {
             "runs": [{
+                "source_digest": perf.source_digest(),
                 "results": [{"graph": "layered-200v", "speedup_all_pairs": 2.0}],
                 "engine_results": [
                     {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 1.0},
-                    {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 0.5},
+                    {"benchmark": "engine-attack-space",
+                     "speedup_engine_serial_vs_serial": 0.5},
                     {"benchmark": "engine-disk-warm-run",
                      "speedup_warm_disk": 2.0},
                     {"benchmark": "grid-resume-overhead", "points": 200,
@@ -356,80 +395,20 @@ class TestPerfCheck:
         assert "warm DiskStore run" in out
         assert "service dedup hit-rate" in out
         assert "single-flight" in out
-        assert "disabled-tracer grid overhead" in out
+        assert "FAIL: tracing-off grid overhead" in out
         assert "tracing-off grid overhead" in out
-        assert "fuzz campaign 1 programs/s" in out
-        assert "2 oracle disagreement(s)" in out
+        assert "FAIL: fuzz campaign programs/sec (both oracles): observed 1/s" in out
+        assert "FAIL: fuzz campaign oracle disagreements: observed 2" in out
 
-    def test_perf_check_flags_missing_contended_benchmark(self, tmp_path, capsys):
-        stale = {
-            "runs": [{
-                "results": [{"graph": "layered-200v", "speedup_all_pairs": 1000.0}],
-                "engine_results": [
-                    {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
-                    {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
-                    {"benchmark": "engine-disk-warm-run",
-                     "speedup_warm_disk": 100.0},
-                    {"benchmark": "grid-resume-overhead", "points": 200,
-                     "plain_seconds": 1.5, "checkpoint_seconds": 1.53,
-                     "overhead_fraction": 0.02, "resume_seconds": 0.04,
-                     "resume_recomputed": 0, "speedup_resume": 37.0,
-                     "trace_off_seconds": 1.515,
-                     "trace_off_overhead_fraction": 0.01},
-                    dict(GOOD_SERVICE_RECORD),
-                ],
-                "timing_results": [
-                    {"benchmark": "timing-event-queue", "instructions": 500,
-                     "speedup_event_vs_rescan": 100.0},
-                ],
-            }]
-        }
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(stale))
-        assert main(["perf", "--check", "-o", str(path)]) == 1
-        assert "no contended event-scheduler benchmark" in capsys.readouterr().out
-
-    def test_perf_check_flags_missing_disk_store_benchmark(self, tmp_path, capsys):
-        stale = {
-            "runs": [{
-                "results": [{"graph": "layered-200v", "speedup_all_pairs": 1000.0}],
-                "engine_results": [
-                    {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
-                    {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
-                    {"benchmark": "grid-resume-overhead", "points": 200,
-                     "plain_seconds": 1.5, "checkpoint_seconds": 1.53,
-                     "overhead_fraction": 0.02, "resume_seconds": 0.04,
-                     "resume_recomputed": 0, "speedup_resume": 37.0,
-                     "trace_off_seconds": 1.515,
-                     "trace_off_overhead_fraction": 0.01},
-                    dict(GOOD_SERVICE_RECORD),
-                ],
-                "timing_results": [
-                    {"benchmark": "timing-event-queue", "instructions": 500,
-                     "speedup_event_vs_rescan": 100.0},
-                    {"benchmark": "timing-event-queue-contended",
-                     "instructions": 500, "speedup_event_vs_rescan": 80.0},
-                ],
-            }]
-        }
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(stale))
-        assert main(["perf", "--check", "-o", str(path)]) == 1
-        assert "no disk-store" in capsys.readouterr().out
-
-    def test_perf_check_passes_on_healthy_trajectory(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setattr("repro.perf._git_commit", lambda: "unknown")
+    def test_perf_check_passes_on_healthy_trajectory(self, tmp_path, capsys):
         good = {
             "runs": [{
+                "source_digest": perf.source_digest(),
                 "results": [{"graph": "layered-200v", "speedup_all_pairs": 1000.0}],
                 "engine_results": [
                     {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
-                    {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
+                    {"benchmark": "engine-attack-space",
+                     "speedup_engine_serial_vs_serial": 4.0},
                     {"benchmark": "engine-disk-warm-run",
                      "speedup_warm_disk": 100.0},
                     {"benchmark": "grid-resume-overhead", "points": 200,
@@ -461,6 +440,61 @@ class TestPerfCheck:
         assert main(["perf", "--check", "-o", str(path)]) == 0
         assert "all perf thresholds hold" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "gate", perf.GATES, ids=lambda gate: f"{gate.benchmark or gate.family}:{gate.field}"
+    )
+    def test_perf_check_grades_each_gate_both_ways(self, gate, tmp_path, capsys):
+        """Healthy passes every row; violating or dropping one gate fails it alone."""
+        path = tmp_path / "bench.json"
+
+        def check(run):
+            path.write_text(json.dumps({"runs": [run]}))
+            code = main(["perf", "--check", "-o", str(path)])
+            lines = capsys.readouterr().out.splitlines()
+            failed_rows = [line for line in lines if line.split()[-1:] == ["FAIL"]]
+            fail_lines = [line for line in lines if line.startswith("FAIL:")]
+            return code, lines, failed_rows, fail_lines
+
+        code, lines, failed_rows, fail_lines = check(_healthy_run())
+        assert code == 0 and failed_rows == [] and fail_lines == []
+        assert sum(line.split()[-1:] == ["PASS"] for line in lines) == len(perf.GATES)
+
+        def named(record):
+            return record.get("benchmark") == gate.benchmark
+
+        run = _healthy_run()
+        records = [record for record in run[gate.family] if named(record)]
+        records[-1][gate.field] = _violating(gate)
+        code, _, failed_rows, fail_lines = check(run)
+        assert code == 1
+        assert len(failed_rows) == 1 and failed_rows[0].startswith(gate.label)
+        assert len(fail_lines) == 1 and gate.label in fail_lines[0]
+
+        run = _healthy_run()
+        run[gate.family] = [record for record in run[gate.family] if not named(record)]
+        code, lines, _, _ = check(run)
+        assert code == 1
+        [row] = [line for line in lines if line.startswith(gate.label)]
+        assert row.split()[-2:] == ["missing", "FAIL"]
+
+    def test_perf_check_fails_on_stale_source_from_any_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        run = _healthy_run()
+        run["source_digest"] = "0" * 64
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps({"runs": [run]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["perf", "--check", "-o", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL: latest") == len({gate.family for gate in perf.GATES})
+
+    def test_committed_trajectory_records_every_gate(self):
+        """BENCH_core.json's latest runs hold a value for every gate."""
+        trajectory = Path(__file__).resolve().parents[1] / "BENCH_core.json"
+        rows = perf.threshold_report(json.loads(trajectory.read_text()))
+        assert [row["check"] for row in rows if row["observed"] == "missing"] == []
+
     def test_perf_quick_and_full_are_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             main(["perf", "--quick", "--full"])
@@ -468,13 +502,11 @@ class TestPerfCheck:
     def test_perf_full_selects_the_500_instruction_baseline(self, monkeypatch, capsys):
         """--full restores the demoted 500-instruction rescan run (plumbing
         test: the suite itself is too expensive for tier-1)."""
-        from repro import perf
-
         captured = {}
 
         def fake_suite(**kwargs):
             captured.update(kwargs)
-            return {"commit": "test", "timestamp": "now", "results": []}
+            return {"source_digest": "test", "timestamp": "now", "results": []}
 
         monkeypatch.setattr(perf, "run_perf_suite", fake_suite)
         monkeypatch.setattr(perf, "append_run", lambda path, run: run)
@@ -489,61 +521,6 @@ class TestPerfCheck:
     def test_perf_check_missing_file(self, tmp_path, capsys):
         assert main(["perf", "--check", "-o", str(tmp_path / "absent.json")]) == 1
         assert "does not exist" in capsys.readouterr().out
-
-    def test_perf_check_flags_missing_grid_resume_benchmark(self, tmp_path, capsys):
-        stale = {
-            "runs": [{
-                "results": [{"graph": "layered-200v", "speedup_all_pairs": 1000.0}],
-                "engine_results": [
-                    {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
-                    {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
-                    {"benchmark": "engine-disk-warm-run",
-                     "speedup_warm_disk": 100.0},
-                    dict(GOOD_SERVICE_RECORD),
-                ],
-                "timing_results": [
-                    {"benchmark": "timing-event-queue", "instructions": 500,
-                     "speedup_event_vs_rescan": 100.0},
-                    {"benchmark": "timing-event-queue-contended",
-                     "instructions": 500, "speedup_event_vs_rescan": 80.0},
-                ],
-            }]
-        }
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(stale))
-        assert main(["perf", "--check", "-o", str(path)]) == 1
-        assert "no grid-resume" in capsys.readouterr().out
-
-    def test_perf_check_flags_missing_service_benchmark(self, tmp_path, capsys):
-        stale = {
-            "runs": [{
-                "results": [{"graph": "layered-200v", "speedup_all_pairs": 1000.0}],
-                "engine_results": [
-                    {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
-                    {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
-                    {"benchmark": "engine-disk-warm-run",
-                     "speedup_warm_disk": 100.0},
-                    {"benchmark": "grid-resume-overhead", "points": 200,
-                     "plain_seconds": 1.5, "checkpoint_seconds": 1.53,
-                     "overhead_fraction": 0.02, "resume_seconds": 0.05,
-                     "resume_recomputed": 0, "speedup_resume": 30.0,
-                     "trace_off_seconds": 1.515,
-                     "trace_off_overhead_fraction": 0.01},
-                ],
-                "timing_results": [
-                    {"benchmark": "timing-event-queue", "instructions": 500,
-                     "speedup_event_vs_rescan": 100.0},
-                    {"benchmark": "timing-event-queue-contended",
-                     "instructions": 500, "speedup_event_vs_rescan": 80.0},
-                ],
-            }]
-        }
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(stale))
-        assert main(["perf", "--check", "-o", str(path)]) == 1
-        assert "no service-throughput" in capsys.readouterr().out
 
 
 @pytest.mark.service

@@ -157,3 +157,13 @@ def test_copy_has_independent_closure():
     assert clone.has_path("A", "C")
     assert not graph.has_path("A", "C")
     assert graph.racing_partners("C") == {"A", "B"}
+
+
+def test_measure_graph_raises_when_closure_and_bfs_disagree(monkeypatch):
+    """The closure-vs-BFS cross-check is a raise, so ``python -O`` keeps it."""
+    from repro import perf
+
+    monkeypatch.setattr(perf, "bfs_racing_pairs", lambda graph, pairs=None: [])
+    graph = perf.build_layered_dag(20, width=5)
+    with pytest.raises(RuntimeError, match="disagree"):
+        perf.measure_graph(graph, repeats=1, count_orderings=False)
