@@ -10,13 +10,12 @@ says which vulnerabilities a software fence can plug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..core.attack_graph import Vulnerability
 from ..core.security_dependency import ProtectionPoint
 from ..isa.program import Program
 from .builder import BuildResult
-from .classify import AuthorizationKind, MICROARCH_KINDS
+from .classify import MICROARCH_KINDS
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,24 +80,6 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def _software_patchable(build: BuildResult, vulnerability: Vulnerability) -> bool:
-    """A vulnerability is software-patchable when its authorization is a branch.
-
-    Fences can be inserted between a software authorization (a branch) and
-    the protected access.  When authorization and access are micro-ops of the
-    same instruction, no software fence can be placed between them -- the fix
-    must come from hardware (or from removing the mapping, as KPTI does).
-    """
-    software_kinds = {
-        site.authorization_kind
-        for site in build.secret_accesses
-        if site.authorization_kind not in MICROARCH_KINDS
-    }
-    # The vulnerability's authorization vertex is a branch vertex iff it is
-    # not a micro-op vertex (micro-op vertices contain the ``::`` separator).
-    return bool(software_kinds) and "::" not in vulnerability.dependency.authorization
-
-
 def analyze_build(
     build: BuildResult,
     points: Optional[Sequence[ProtectionPoint]] = None,
@@ -106,12 +87,25 @@ def analyze_build(
     """Analyse an already-constructed attack graph (the engine's cold path)."""
     selected_points = list(points) if points is not None else None
     vulnerabilities = build.graph.find_vulnerabilities(points=selected_points)
+    # A vulnerability is software-patchable when its authorization is a
+    # branch: fences can be inserted between a software authorization and
+    # the protected access.  When authorization and access are micro-ops of
+    # the same instruction, no software fence can be placed between them --
+    # the fix must come from hardware (or from removing the mapping, as KPTI
+    # does).  The authorization vertex is a branch vertex iff it is not a
+    # micro-op vertex (micro-op vertices contain the ``::`` separator).
+    has_software_authorization = any(
+        site.authorization_kind not in MICROARCH_KINDS for site in build.secret_accesses
+    )
     findings = [
         Finding(
             authorization=vulnerability.dependency.authorization,
             protected_operation=vulnerability.dependency.protected,
             point=vulnerability.dependency.point,
-            software_patchable=_software_patchable(build, vulnerability),
+            software_patchable=(
+                has_software_authorization
+                and "::" not in vulnerability.dependency.authorization
+            ),
             description=vulnerability.description,
         )
         for vulnerability in vulnerabilities

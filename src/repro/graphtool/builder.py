@@ -22,16 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.attack_graph import AttackGraph, Vulnerability
-from ..core.edges import DependencyKind
-from ..core.nodes import AttackStep, ExecutionLevel, OperationType
+from ..core.edges import Dependency, DependencyKind
+from ..core.nodes import AttackStep, OperationType
 from ..isa.dependency import all_dependencies
-from ..isa.instructions import Alu, Clflush, Instruction, Load, Rdtsc, Store
+from ..isa.instructions import Clflush, Instruction, Rdtsc
 from ..isa.program import Program
-from .classify import (
-    AuthorizationKind,
-    SecretAccessSite,
-    find_secret_accesses,
-)
+from .classify import SecretAccessSite, find_secret_accesses
 from .expansion import (
     ACCESS_SUFFIX,
     MICRO_EDGE_KIND,
@@ -217,8 +213,6 @@ class AttackGraphBuilder:
         ):
             return OperationType.RECEIVE, AttackStep.RECEIVE, False
         if instruction.reads_registers() & tainted_registers:
-            if isinstance(instruction, (Alu,)):
-                return OperationType.USE, AttackStep.USE_AND_SEND, True
             return OperationType.USE, AttackStep.USE_AND_SEND, True
         return OperationType.OTHER, None, False
 
@@ -277,7 +271,11 @@ class AttackGraphBuilder:
         a branch, the authorization-resolved micro-op of a faulting access):
         a serializing fence waits for prior instructions to fully complete,
         which is exactly how it enforces the security dependency.
+
+        The edges go into the graph as one batch, so the closure is built by
+        one sweep instead of one incremental update per edge.
         """
+        edges: List[Dependency] = []
         for dependency in all_dependencies(self.program):
             if dependency.kind is DependencyKind.FENCE:
                 source = completion_node.get(dependency.source)
@@ -286,9 +284,10 @@ class AttackGraphBuilder:
             target = entry_node.get(dependency.target)
             if source is None or target is None or source == target:
                 continue
-            if graph.has_edge(source, target):
-                continue
-            graph.add_edge(source, target, kind=dependency.kind, label=dependency.detail)
+            edges.append(
+                Dependency(source, target, kind=dependency.kind, label=dependency.detail)
+            )
+        graph.add_dependencies(edges)
 
 
 def build_attack_graph(

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..isa.instructions import (
     Branch,
-    Call,
     Cmp,
     FpExtract,
     FpLoad,
     IndirectJmp,
     Instruction,
-    Jmp,
     Load,
     Rdmsr,
     Ret,
@@ -79,31 +77,6 @@ class SecretAccessSite:
     authorization_kind: AuthorizationKind
 
 
-def _guarding_branch(
-    program: Program, access_index: int, address_registers: Set[str]
-) -> Optional[int]:
-    """Find the closest earlier conditional branch guarding the access index.
-
-    A guard is a conditional branch whose flags were produced by a ``cmp``
-    involving one of the registers used to form the access address -- the
-    classic software bounds check of Spectre v1.
-    """
-    latest_cmp_register: Dict[str, int] = {}
-    cmp_for_branch: Optional[int] = None
-    guard: Optional[int] = None
-    for index in range(access_index):
-        instruction = program[index]
-        if isinstance(instruction, Cmp):
-            cmp_for_branch = index
-        elif isinstance(instruction, Branch):
-            if cmp_for_branch is not None:
-                compare = program[cmp_for_branch]
-                involved = compare.reads_registers() & address_registers
-                if involved:
-                    guard = index
-    return guard
-
-
 def find_authorizations(program: Program) -> List[AuthorizationSite]:
     """All authorization operations in the program (Figure 9, both branches)."""
     sites: List[AuthorizationSite] = []
@@ -147,8 +120,10 @@ def find_secret_accesses(
       same instruction), or
     * it reads a privileged or lazily-switched register (RDMSR, FP state), or
     * it is register-indexed and guarded by a bounds-check branch (indirect
-      access -- out-of-bounds values of the index can reach protected data),
-      or
+      access -- out-of-bounds values of the index can reach protected data):
+      the guard is the latest conditional branch whose flags come from a
+      ``cmp`` reading one of the address registers (Spectre v1's bounds
+      check), or
     * it may alias an older store whose address is not yet resolved
       (store-to-load bypass).
     """
@@ -158,7 +133,16 @@ def find_secret_accesses(
 
     sites: List[SecretAccessSite] = []
     store_seen_with_unknown_address = False
+    # One forward pass finds every guard: for each register, the latest
+    # branch whose preceding ``cmp`` reads it.
+    latest_cmp: Optional[Instruction] = None
+    guard_of: Dict[str, int] = {}
     for index, instruction in enumerate(program):
+        if isinstance(instruction, Cmp):
+            latest_cmp = instruction
+        elif isinstance(instruction, Branch) and latest_cmp is not None:
+            for register in latest_cmp.reads_registers():
+                guard_of[register] = index
         if isinstance(instruction, Store) and instruction.address.registers:
             store_seen_with_unknown_address = True
         if isinstance(instruction, Rdmsr):
@@ -196,7 +180,10 @@ def find_secret_accesses(
             )
             continue
         if operand.registers:
-            guard = _guarding_branch(program, index, set(operand.registers))
+            guard = max(
+                (guard_of[register] for register in operand.registers if register in guard_of),
+                default=None,
+            )
             if guard is not None:
                 sites.append(
                     SecretAccessSite(

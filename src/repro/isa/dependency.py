@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.edges import DependencyKind
-from .instructions import Fence, Instruction
 from .program import Program
 
 
@@ -123,28 +122,29 @@ def memory_dependencies(program: Program) -> List[InstructionDependency]:
 
 
 def fence_dependencies(program: Program) -> List[InstructionDependency]:
-    """Serialization edges introduced by fences.
+    """Serialization edges introduced by fences, chained fence to fence.
 
     A fence orders every earlier instruction before itself and itself before
-    every later instruction.  To keep the graph small we add edges from the
-    instructions before the fence to the fence, and from the fence to the
-    instructions after it (transitivity gives the rest).
+    every later instruction.  Transitivity gives that order from a chain:
+    each fence takes edges from the instructions since the previous fence
+    (that fence included; the first fence from instruction 0) and gives
+    edges to the instructions up to and including the next fence (the last
+    fence to the end of the program).  Every instruction is the source of
+    at most one before-fence edge and the target of at most one after-fence
+    edge, so a program of ``n`` instructions has at most ``2n`` of them.
     """
+    fences = [index for index, instruction in enumerate(program) if instruction.is_serializing]
     dependencies: List[InstructionDependency] = []
-    for index, instruction in enumerate(program):
-        if not instruction.is_serializing:
-            continue
-        for earlier in range(index):
+    for position, fence in enumerate(fences):
+        previous = fences[position - 1] if position else 0
+        following = fences[position + 1] if position + 1 < len(fences) else len(program) - 1
+        for earlier in range(previous, fence):
             dependencies.append(
-                InstructionDependency(
-                    earlier, index, DependencyKind.FENCE, detail="before fence"
-                )
+                InstructionDependency(earlier, fence, DependencyKind.FENCE, detail="before fence")
             )
-        for later in range(index + 1, len(program)):
+        for later in range(fence + 1, following + 1):
             dependencies.append(
-                InstructionDependency(
-                    index, later, DependencyKind.FENCE, detail="after fence"
-                )
+                InstructionDependency(fence, later, DependencyKind.FENCE, detail="after fence")
             )
     return dependencies
 

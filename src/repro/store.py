@@ -46,7 +46,7 @@ from typing import Dict, Iterator, Optional, Protocol, Set, Tuple, runtime_check
 #: :class:`DiskStore` path: bump it when the pickled ``Result`` shapes (or
 #: the analyses behind them) change incompatibly, and every old entry is
 #: invalidated at once without touching the spec content-hash scheme.
-CODE_VERSION = "1"
+CODE_VERSION = "2"
 
 #: Environment variable overriding the default on-disk cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -1,6 +1,6 @@
 """The batch timing plane: differential identities and hot-path bug pins.
 
-Three families of guarantees from the batch PR live here:
+Two families of guarantees of the batch timing plane live here:
 
 * **Masked arbitration == per-op walk.**  Both schedulers now arbitrate
   each cycle's ready ops in one integer-bitmask pass;
@@ -11,9 +11,10 @@ Three families of guarantees from the batch PR live here:
 * **Batch == per-point.**  ``Engine.simulate_batch`` envelopes are
   byte-identical (``Result.to_json``) to the same points served one
   :meth:`Engine.run` at a time on an equivalent session.
-* **Closure backends agree.**  The numpy word-chunk closure sweep and the
-  stdlib big-int sweep produce bit-identical ancestor/descendant masks
-  and the same racing-pair list, on random DAGs, via either entry point.
+
+The TSG closure has a single backend, the stdlib big-int sweep; its bulk
+insertion and ``remove_edge`` are tested against per-edge insertion in
+``tests/test_core_tsg.py``.
 
 Plus regression pins for the satellite bugfixes: the ``stats()["runs"]``
 counter (real executions only, never store-warm serves), the
@@ -34,7 +35,6 @@ from hypothesis import given, settings, strategies as st
 from test_timing_scheduler import random_contended_model, random_stream
 
 from repro import perf
-from repro.core.tsg import TopologicalSortGraph, _np, closure_backend
 from repro.engine import Engine, _batch_point_spec
 from repro.obs.progress import MIN_MEASURABLE_SECONDS, ProgressLine
 from repro.scenario import ScenarioSpec
@@ -365,62 +365,6 @@ def test_unsupervised_batch_counts_in_grid_stats():
     engine = Engine()
     engine.simulate_batch(["spectre_v1", "meltdown"])
     assert engine.stats()["runs"].get("simulate_batch", 0) == 1
-
-
-# ---------------------------------------------------------------------------
-# Closure backends agree (numpy word chunks vs stdlib big ints)
-# ---------------------------------------------------------------------------
-def _random_dag(rng: random.Random, vertices: int, edges: int):
-    graph = TopologicalSortGraph()
-    for i in range(vertices):
-        graph.add_vertex(f"v{i}")
-    for _ in range(edges):
-        a, b = sorted(rng.sample(range(vertices), 2))
-        graph.add_edge(f"v{a}", f"v{b}")
-    return graph
-
-
-@pytest.mark.skipif(_np is None, reason="numpy not installed")
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=100_000),
-    vertices=st.integers(min_value=2, max_value=130),
-)
-def test_closure_backends_bit_identical(seed, vertices):
-    """numpy and stdlib sweeps build the same closure and racing pairs."""
-    rng = random.Random(seed)
-    graph = _random_dag(rng, vertices, rng.randint(0, 3 * vertices))
-    order = graph.topological_order()
-    graph._rebuild_closure_python(order)
-    anc, desc = list(graph._anc), list(graph._desc)
-    pairs = graph.all_racing_pairs()
-    graph._rebuild_closure_numpy(order)
-    assert graph._anc == anc
-    assert graph._desc == desc
-    assert graph.all_racing_pairs() == pairs
-
-
-@pytest.mark.skipif(_np is None, reason="numpy not installed")
-def test_backend_env_gate(monkeypatch):
-    monkeypatch.setenv("REPRO_TSG_BACKEND", "python")
-    assert closure_backend() == "python"
-    monkeypatch.setenv("REPRO_TSG_BACKEND", "numpy")
-    assert closure_backend() == "numpy"
-    monkeypatch.setenv("REPRO_TSG_BACKEND", "auto")
-    assert closure_backend() == "numpy"
-
-
-def test_remove_edge_keeps_closure_consistent_across_backends(monkeypatch):
-    """``remove_edge`` (the `_rebuild_closure` entry point) is backend-stable."""
-    results = []
-    backends = ["python"] + (["auto"] if _np is not None else [])
-    for backend in backends:
-        monkeypatch.setenv("REPRO_TSG_BACKEND", backend)
-        graph = _random_dag(random.Random(3), 80, 200)
-        victim = graph.edges[0]
-        graph.remove_edge(victim.source, victim.target)
-        results.append((list(graph._anc), list(graph._desc), graph.all_racing_pairs()))
-    assert all(entry == results[0] for entry in results)
 
 
 # ---------------------------------------------------------------------------

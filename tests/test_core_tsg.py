@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+from typing import List
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CycleError,
@@ -79,6 +83,108 @@ class TestConstruction:
         graph.add_edge("B", "C", kind=DependencyKind.SECURITY)
         assert graph.edge("B", "C").kind is DependencyKind.SECURITY
         assert graph.edge("B", "C").is_security
+
+
+def random_dependencies(rng: random.Random, vertices: int, edges: int) -> List[Dependency]:
+    """Edges of a random DAG over ``v0..v{vertices-1}``, some endpoints repeated.
+
+    The edges follow a hidden random order (not insertion order), and a
+    repeated pair carries another kind, so "the first record wins" shows.
+    """
+    rank = list(range(vertices))
+    rng.shuffle(rank)
+    kinds = list(DependencyKind)
+    dependencies: List[Dependency] = []
+    for _ in range(edges):
+        a, b = sorted(rng.sample(range(vertices), 2))
+        dependencies.append(
+            Dependency(f"v{rank[a]}", f"v{rank[b]}", kind=rng.choice(kinds), label=str(len(dependencies)))
+        )
+    return dependencies
+
+
+def empty_graph(vertices: int) -> TopologicalSortGraph:
+    graph = TopologicalSortGraph()
+    for i in range(vertices):
+        graph.add_vertex(f"v{i}")
+    return graph
+
+
+def edge_by_edge(vertices: int, dependencies: List[Dependency]) -> TopologicalSortGraph:
+    graph = empty_graph(vertices)
+    for dependency in dependencies:
+        graph.add_dependency(dependency)
+    return graph
+
+
+def graph_state(graph: TopologicalSortGraph):
+    return (
+        graph._anc,
+        graph._desc,
+        graph.edges,
+        graph.all_racing_pairs(),
+        graph.topological_order(),
+    )
+
+
+class TestBulkInsertion:
+    """``add_dependencies`` (one closure sweep) against per-edge insertion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        vertices=st.integers(min_value=2, max_value=140),
+    )
+    def test_bulk_equals_edge_by_edge(self, seed, vertices):
+        rng = random.Random(seed)
+        dependencies = random_dependencies(rng, vertices, rng.randint(0, 3 * vertices))
+        dependencies += rng.sample(dependencies, len(dependencies) // 4)
+        split = rng.randint(0, len(dependencies))
+        reference = edge_by_edge(vertices, dependencies)
+
+        bulk = edge_by_edge(vertices, dependencies[:split])
+        bulk.add_dependencies(dependencies[split:])
+        assert graph_state(bulk) == graph_state(reference)
+
+        # ``remove_edge`` takes the same sweep: it matches a graph built
+        # edge by edge without the removed edge.
+        if reference.edges:
+            victim = rng.choice(reference.edges)
+            bulk.remove_edge(victim.source, victim.target)
+            kept = [
+                dependency
+                for dependency in dependencies
+                if (dependency.source, dependency.target) != (victim.source, victim.target)
+            ]
+            assert graph_state(bulk) == graph_state(edge_by_edge(vertices, kept))
+
+    def test_batch_closing_a_cycle_raises_and_leaves_graph_unchanged(self):
+        graph = build_chain("A", "B", "C")
+        graph.add_vertex("D")
+        before = graph_state(graph)
+        succ = {name: graph.successors(name) for name in graph.vertices}
+        with pytest.raises(CycleError):
+            graph.add_dependencies([Dependency("C", "D"), Dependency("A", "C"), Dependency("D", "A")])
+        assert graph_state(graph) == before
+        assert {name: graph.successors(name) for name in graph.vertices} == succ
+        assert not graph.has_edge("C", "D")
+        graph.add_dependencies([Dependency("C", "D")])
+        assert graph.has_path("A", "D")
+
+    def test_batch_with_unknown_vertex_raises_and_leaves_graph_unchanged(self):
+        graph = build_chain("A", "B")
+        graph.add_vertex("C")
+        before = graph_state(graph)
+        with pytest.raises(KeyError):
+            graph.add_dependencies([Dependency("B", "C"), Dependency("C", "missing")])
+        assert graph_state(graph) == before
+        assert not graph.has_edge("B", "C")
+
+    def test_batch_keeps_first_record_of_existing_edge(self):
+        graph = build_chain("A", "B")
+        graph.add_dependencies([Dependency("A", "B", kind=DependencyKind.FENCE)])
+        assert graph.edge("A", "B").kind is DependencyKind.PROGRAM_ORDER
+        assert len(graph.edges) == 1
 
 
 class TestReachability:

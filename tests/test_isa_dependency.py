@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from test_graphtool_reference import victim_program
+
 from repro.core import DependencyKind
 from repro.isa import (
     all_dependencies,
@@ -87,6 +89,28 @@ class TestMemoryAndFences:
         pairs = {(d.source, d.target) for d in deps}
         assert (0, 1) in pairs  # before the fence
         assert (1, 2) in pairs and (1, 3) in pairs  # after the fence
+
+        # Two fences chain: the first fence's after-edges stop at the second
+        # fence, and the second fence's before-edges start at the first.
+        program = assemble(
+            ".text\nmov rax, 1\nlfence\nmov rbx, 2\nmfence\nmov rcx, 3\nhlt"
+        )
+        pairs = {(d.source, d.target) for d in fence_dependencies(program)}
+        assert {target for source, target in pairs if source == 1} == {2, 3}
+        assert {source for source, target in pairs if target == 1} == {0}
+        assert {source for source, target in pairs if target == 3} == {1, 2}
+        assert {target for source, target in pairs if source == 3} == {4, 5}
+
+    def test_fence_dependencies_are_linear_in_program_size(self):
+        """At most 2n fence edges for n instructions, however many fences.
+
+        A count, not a clock: every instruction is the source of at most one
+        before-fence edge and the target of at most one after-fence edge.
+        """
+        program = victim_program(seed=64, gadgets=64)
+        fences = sum(1 for instruction in program if instruction.is_serializing)
+        assert fences >= 8  # all-pairs edges would number fences * (n - 1)
+        assert len(fence_dependencies(program)) <= 2 * len(program)
 
     def test_all_dependencies_deduplicated(self, listing1_program):
         deps = all_dependencies(listing1_program)
