@@ -45,7 +45,7 @@ def test_single_flight_computes_once_for_any_fanout(benchmark):
 
     async def fanout():
         engine = Engine(store=MemoryStore())
-        service = AnalysisService(engine, ServiceConfig(batch_window=0.001))
+        service = AnalysisService(engine, ServiceConfig())
         await service.start(listen=False)
         spec = ScenarioSpec("exploit", exploit="spectre_v1", secret=0x5A)
         envelopes = await asyncio.gather(

@@ -1,13 +1,11 @@
-"""E21 -- The batch simulation plane: warm-session amortization.
+"""E21 -- The batch simulation plane: warm-session serving.
 
 Asserts the acceptance properties of ``Engine.simulate_batch``: a
 campaign-shaped point list (repeated passes over the registry x defense
 grid -- the shape fuzzing sweeps, resumed campaigns and overlapping
-service traffic produce) is served at >= 10x the points/sec of the
-isolated per-point loop, with rows identical point for point, and the
-per-point envelopes byte-identical to ``Engine.simulate`` on an
-equivalent session.  The same record lands in BENCH_core.json as the
-``timing-batch`` benchmark, floor-enforced by ``repro perf --check``.
+service traffic produce) is served with rows identical point for point
+to the per-point loop, and the per-point envelopes byte-identical to
+``Engine.simulate`` on an equivalent session.
 """
 
 from __future__ import annotations
@@ -15,29 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Engine, _batch_point_spec
-from repro.perf import gate, measure_timing_batch
 from repro.uarch.timing.validate import SCENARIOS
-
-
-@pytest.mark.experiment("E21")
-def test_batch_campaign_is_10x_over_per_point_loop():
-    """The acceptance bar: batch points/sec >= 10x the per-point loop.
-
-    ``measure_timing_batch`` raises internally if the batch rows diverge
-    from the per-point rows, so a passing run certifies both the floor and
-    the differential identity.
-    """
-    record = measure_timing_batch()
-    floor = gate("timing-batch", "speedup_batch_vs_per_point")
-    print(
-        f"\ntiming batch: {record['points']} points "
-        f"({record['unique_simulations']} unique sims): per-point "
-        f"{record['per_point_points_per_second']:.0f} pts/s vs batch "
-        f"{record['batch_points_per_second']:.0f} pts/s -> "
-        f"{record['speedup_batch_vs_per_point']:.1f}x"
-    )
-    assert record["points"] == record["epochs"] * 2 * len(SCENARIOS)
-    assert floor.holds(record["speedup_batch_vs_per_point"])
 
 
 @pytest.mark.experiment("E21")

@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """``repro perf`` from a checkout, with the same flags (``repro perf --help``).
 
-``python benchmarks/run_perf.py [--quick | --full] [-o FILE]`` appends a run
-stamped with the sources' digest; ``--check [--allow-stale]`` grades it.
+``python benchmarks/run_perf.py [-o FILE]`` appends a run stamped with the
+sources' digest: the exact grid, service and fuzz facts plus one perfbench
+result line per workload in ``BENCHMARK.json``.  ``--check [--allow-stale]``
+grades the latest run against the gate table.
 """
 
 import os

@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from ..uarch.timing.core import SCHEDULERS
 from ..uarch.timing.ops import DynamicOp
-from ..uarch.timing.scheduler import TimingModel
+from ..uarch.timing.scheduler import EventScheduler, TimingModel
 from .base import ChannelObservation, CovertChannel
 
 #: Op kind issuing to each functional-unit pool (the probe/sender op shape).
@@ -70,15 +69,10 @@ class PortContentionSurface:
         *,
         pool: str = "mul",
         op_latency: Optional[int] = None,
-        scheduler: str = "event",
     ) -> None:
         if pool not in _POOL_OP_KIND:
             raise ValueError(
                 f"unknown port pool {pool!r}; known: {', '.join(sorted(_POOL_OP_KIND))}"
-            )
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; known: {', '.join(sorted(SCHEDULERS))}"
             )
         if model is None:
             model = replace(WIDE_WINDOW_MODEL, cdb_width=1, **{f"{pool}_ports": 1})
@@ -93,7 +87,7 @@ class PortContentionSurface:
         self.pool = pool
         self.op_kind = _POOL_OP_KIND[pool]
         self.op_latency = op_latency
-        self._scheduler = SCHEDULERS[scheduler](model)
+        self._scheduler = EventScheduler(model)
 
     @property
     def contended(self) -> bool:

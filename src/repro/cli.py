@@ -32,7 +32,7 @@ Subcommands::
     repro run --spec plan.json --trace t.jsonl --progress  # traced, live ETA
     repro trace summarize t.jsonl      # phase breakdown + critical path
     repro report                       # full Markdown report
-    repro perf [--check] [--full]      # core + engine + timing perf -> BENCH_core.json
+    repro perf [--check]               # exact perf ledger + perfbench -> BENCH_core.json
     repro serve --store disk           # the async analysis service (HTTP)
     repro request --url URL --kind simulate --param attack=spectre_v1
     repro request --url URL --stats    # the server's /stats document
@@ -570,7 +570,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         batch_size=args.batch_size,
-        batch_window=args.batch_window,
         queue_depth=args.queue_depth,
         max_body_bytes=args.max_body,
         parallel=args.parallel,
@@ -644,16 +643,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     if args.check:
         return perf.run_check(args.output, allow_stale=args.allow_stale)
-    run = perf.main(output=args.output, quick=args.quick, full=args.full)
+    run = perf.main(output=args.output)
     print(f"source {run['source_digest'][:12]}  ({run['timestamp']})")
-    for record in run["results"]:
-        print(
-            f"  {record['graph']}: all-pairs races "
-            f"{record['closure_all_pairs_seconds'] * 1e3:.2f} ms (closure) vs "
-            f"{record['bfs_all_pairs_seconds_estimate'] * 1e3:.1f} ms (seed BFS, "
-            f"{record['bfs_baseline_mode']}) -> {record['speedup_all_pairs']:.0f}x speedup"
-        )
-    for line in perf.format_engine_records(run):
+    for line in perf.format_run(run):
         print(f"  {line}")
     print(f"trajectory appended to {args.output}")
     return 0
@@ -961,10 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "printed on startup)")
     serve_parser.add_argument("--batch-size", type=int, default=16,
                               help="max specs per dispatched grid batch")
-    serve_parser.add_argument("--batch-window", type=float, default=0.005,
-                              metavar="SECONDS",
-                              help="how long a partial batch waits for "
-                                   "stragglers before dispatching")
     serve_parser.add_argument("--queue-depth", type=int, default=64,
                               help="admission queue bound (backpressure)")
     serve_parser.add_argument("--max-body", type=int, default=1 << 20,
@@ -1023,19 +1011,14 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_parser.set_defaults(handler=_cmd_trace)
 
     perf_parser = subparsers.add_parser(
-        "perf", help="run the TSG-core perf suite and append to BENCH_core.json"
+        "perf", help="record the perf ledger and perfbench's end-to-end "
+                     "numbers (from a checkout) to BENCH_core.json"
     )
     perf_parser.add_argument("--output", "-o", default="BENCH_core.json",
                              help="trajectory file to append to")
-    perf_budget = perf_parser.add_mutually_exclusive_group()
-    perf_budget.add_argument("--quick", action="store_true",
-                             help="smaller baseline budget, single repeat")
-    perf_budget.add_argument("--full", action="store_true",
-                             help="run the full 500-instruction rescan baseline "
-                                  "(the default keeps the 200-instruction run)")
     perf_parser.add_argument("--check", action="store_true",
-                             help="check the trajectory against the ROADMAP "
-                                  "regression thresholds instead of benchmarking")
+                             help="grade the trajectory's latest run against "
+                                  "the perf gates instead of measuring")
     perf_parser.add_argument("--allow-stale", action="store_true",
                              help="with --check: tolerate a latest record whose "
                                   "source digest differs from the current "

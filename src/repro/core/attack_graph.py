@@ -95,10 +95,6 @@ class AttackGraph(TopologicalSortGraph):
         )
 
     @property
-    def resolution_nodes(self) -> List[str]:
-        return self._names_of(OperationType.RESOLUTION)
-
-    @property
     def secret_access_nodes(self) -> List[str]:
         return self._names_of(OperationType.SECRET_ACCESS)
 

@@ -18,7 +18,6 @@ Section III, and the :class:`Operation` record stored at each vertex.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -99,8 +98,6 @@ _STEP_TO_PART: Mapping[AttackStep, AttackPart] = {
     AttackStep.RECEIVE: AttackPart.COVERT_CHANNEL,
 }
 
-_FRESH_IDS = itertools.count(1)
-
 
 @dataclass(frozen=True, slots=True)
 class Operation:
@@ -143,24 +140,5 @@ class Operation:
             return None
         return self.step.part
 
-    def with_(self, **changes: Any) -> "Operation":
-        """Return a copy of this operation with the given fields replaced."""
-        current = {
-            "name": self.name,
-            "op_type": self.op_type,
-            "step": self.step,
-            "level": self.level,
-            "speculative": self.speculative,
-            "description": self.description,
-            "metadata": dict(self.metadata),
-        }
-        current.update(changes)
-        return Operation(**current)
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
-
-
-def fresh_name(prefix: str) -> str:
-    """Return a unique vertex name with the given prefix."""
-    return f"{prefix}#{next(_FRESH_IDS)}"

@@ -274,9 +274,6 @@ class TopologicalSortGraph:
     def successors(self, name: str) -> Set[str]:
         return set(self._succ[name])
 
-    def predecessors(self, name: str) -> Set[str]:
-        return set(self._pred[name])
-
     def operations_of_type(self, op_type: OperationType) -> List[Operation]:
         """All operations with the given :class:`OperationType`."""
         return [op for op in self._ops.values() if op.op_type is op_type]
@@ -325,6 +322,14 @@ class TopologicalSortGraph:
         comparable = self._anc[i] | self._desc[i] | (1 << i)
         return self._mask_to_names(full & ~comparable)
 
+    def _racing_rows(self) -> Iterator[Tuple[int, int]]:
+        """``(i, mask)`` per vertex: the later-inserted vertices racing ``i``."""
+        count = len(self._names)
+        full = (1 << count) - 1
+        for i in range(count):
+            later = full >> (i + 1) << (i + 1)
+            yield i, later & ~(self._anc[i] | self._desc[i])
+
     def all_racing_pairs(self) -> List[Tuple[str, str]]:
         """Every racing (incomparable) vertex pair, in one pass over the closure.
 
@@ -332,16 +337,17 @@ class TopologicalSortGraph:
         ordered by insertion as well -- the same order the pairwise
         ``itertools.combinations`` scan used to produce.  O(V * V/w).
         """
-        count = len(self._names)
         names = self._names
         pairs: List[Tuple[str, str]] = []
-        full = (1 << count) - 1
-        for i in range(count):
-            later = full >> (i + 1) << (i + 1)
-            racing = later & ~(self._anc[i] | self._desc[i])
+        for i, racing in self._racing_rows():
             first = names[i]
             pairs.extend((first, names[j]) for j in _iter_bits(racing))
         return pairs
+
+    def count_racing_pairs(self) -> int:
+        """``len(self.all_racing_pairs())`` without building the pairs: the
+        same rows, summed by popcount."""
+        return sum(racing.bit_count() for _, racing in self._racing_rows())
 
     def is_valid_ordering(self, ordering: Sequence[str]) -> bool:
         """Check whether ``ordering`` is a valid ordering of the TSG.

@@ -1526,7 +1526,7 @@ class Engine:
             verdict = {
                 "leaks": attack_succeeds(graph),
                 "vulnerabilities": len(graph.find_vulnerabilities()),
-                "racing_pairs": len(graph.all_racing_pairs()),
+                "racing_pairs": graph.count_racing_pairs(),
                 "vertices": len(graph),
                 "edges": len(graph.edges),
                 "meltdown_type": graph.is_meltdown_type,

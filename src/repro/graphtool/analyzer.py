@@ -114,7 +114,7 @@ def analyze_build(
         program_name=build.program.name,
         build=build,
         findings=findings,
-        total_racing_pairs=len(build.graph.all_racing_pairs()),
+        total_racing_pairs=build.graph.count_racing_pairs(),
     )
 
 

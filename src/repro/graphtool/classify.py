@@ -59,11 +59,6 @@ class AuthorizationSite:
     index: int
     kind: AuthorizationKind
 
-    @property
-    def intra_instruction(self) -> bool:
-        """``True`` when this authorization happens inside the access instruction."""
-        return self.kind in MICROARCH_KINDS
-
 
 @dataclass(frozen=True)
 class SecretAccessSite:

@@ -226,10 +226,6 @@ class Program:
             return None
         return self.symbol_address(operand.symbol) + operand.displacement
 
-    def references_symbol(self, operand: MemoryOperand, name: str) -> bool:
-        """Does the operand statically reference the named symbol?"""
-        return operand.symbol == name
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------

@@ -178,8 +178,9 @@ class Tracer:
     pool-worker configuration -- where :meth:`drain` returns the finished
     records so they can travel back with the worker's results and be
     :meth:`absorb`-ed by the parent process.  ``enabled=False`` makes
-    every ``span()`` call return the shared no-op span: the configuration
-    the perf suite pins at <=2% overhead against no tracer at all.
+    every ``span()`` call return the shared no-op span, and the engine reads
+    nothing of an attached disabled tracer but ``enabled`` (``repro perf``
+    counts those reads).
 
     ``sample_rate`` head-samples whole span *trees*: when a root span (no
     open ancestor on its thread, no explicit parent) draws above the rate,

@@ -9,13 +9,14 @@ through it one artifact store).  Life of a request:
    *attaches* to it (single-flight: attaching is free and never rejected);
    otherwise the spec joins the bounded admission queue, or is refused with
    ``503`` + ``Retry-After`` when the queue is full (backpressure).
-3. **batch** -- the dispatcher coalesces queued entries (up to
-   ``batch_size``, waiting at most ``batch_window`` seconds for stragglers),
-   groups them by kind and executes each group as one explicit
-   :class:`~repro.scenario.ScenarioGrid` through :meth:`Engine.iter_grid`
-   on a dedicated engine thread.  ``iter_grid`` checkpoints every completed
-   point through the store *before* yielding it, so each point is streamed
-   back to its waiters -- and made durable -- the moment it lands.
+3. **batch** -- as soon as the engine thread is free, the dispatcher takes
+   whatever is queued (up to ``batch_size``; requests that arrive while a
+   batch computes form the next one), groups it by kind and executes each
+   group as one explicit :class:`~repro.scenario.ScenarioGrid` through
+   :meth:`Engine.iter_grid` on a dedicated engine thread.  ``iter_grid``
+   checkpoints every completed point through the store *before* yielding
+   it, so each point is streamed back to its waiters -- and made durable --
+   the moment it lands.
 4. **respond** -- every waiter gets the same ``Result`` envelope, stamped
    with a request id, its hit source (``memory`` / ``disk`` /
    ``in-flight`` / ``computed``) and queue / compute / total latency.
@@ -70,9 +71,6 @@ class ServiceConfig:
     port: int = 0
     #: Most points one dispatched grid batch carries.
     batch_size: int = 16
-    #: Seconds the dispatcher waits for stragglers before dispatching a
-    #: partial batch.  ``0`` dispatches whatever one loop tick admitted.
-    batch_window: float = 0.005
     #: Bound of the admission queue -- the backpressure knob.  Attaching to
     #: an in-flight entry never counts against it.
     queue_depth: int = 64
@@ -302,8 +300,6 @@ class AnalysisService:
             while not self._queue:
                 self._queue_event.clear()
                 await self._queue_event.wait()
-            if config.batch_window > 0 and len(self._queue) < config.batch_size:
-                await asyncio.sleep(config.batch_window)
             batch = self._queue[: config.batch_size]
             del self._queue[: len(batch)]
             groups: Dict[str, List[_Entry]] = {}

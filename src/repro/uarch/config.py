@@ -45,16 +45,8 @@ class UarchConfig:
         """A copy of this configuration with the given defenses enabled."""
         return replace(self, defenses=frozenset(self.defenses) | set(defenses))
 
-    def without_defenses(self) -> "UarchConfig":
-        """A copy of this configuration with every defense disabled."""
-        return replace(self, defenses=frozenset())
-
     def has(self, defense: SimDefense) -> bool:
         return defense in self.defenses
-
-    @property
-    def cache_size(self) -> int:
-        return self.cache_sets * self.cache_ways * self.line_size
 
 
 DEFAULT_CONFIG = UarchConfig()

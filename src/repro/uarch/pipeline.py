@@ -210,16 +210,6 @@ class SpeculativeCPU:
         else:
             self.fault_recovery_pc = target
 
-    def train_branch(self, label_or_index: Union[int, str], taken: bool, repeat: int = 4) -> None:
-        """Mis-train the direction predictor for a branch (attack step 1b)."""
-        pc = (
-            self.program.label_index(label_or_index)
-            if isinstance(label_or_index, str)
-            else label_or_index
-        )
-        for _ in range(repeat):
-            self.predictors.direction.train(pc, taken)
-
     def train_btb(self, branch_index: int, target_index: int) -> None:
         """Poison the BTB entry of an indirect branch (Spectre v2 setup)."""
         self.predictors.btb.train(branch_index, target_index)

@@ -33,9 +33,6 @@ class RegisterFile:
     def is_slow(self, name: str) -> bool:
         return name in self._slow
 
-    def any_slow(self, names) -> bool:
-        return any(name in self._slow for name in names)
-
     def mark_ready(self, name: str) -> None:
         self._slow.discard(name)
 

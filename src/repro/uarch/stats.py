@@ -33,12 +33,6 @@ class SimStats:
             self.faults_suppressed += 1
         self.fault_log.append(description)
 
-    @property
-    def misprediction_rate(self) -> float:
-        if not self.branch_predictions:
-            return 0.0
-        return self.branch_mispredictions / self.branch_predictions
-
     def summary(self) -> Dict[str, int]:
         return {
             "cycles": self.cycles,

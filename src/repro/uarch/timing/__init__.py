@@ -29,15 +29,13 @@ cycle-stamped events (:class:`~repro.uarch.timing.scheduler.EventScheduler`):
   kind issues to one of four port pools (ALU / load-store / branch / mul,
   :func:`~repro.uarch.timing.ops.port_kind`), holds its port from issue to
   broadcast, and at most ``cdb_width`` results broadcast per cycle --
-  arbitration is deterministic oldest-first in both schedulers.  Unbounded
-  (``None``) limits reproduce the pre-contention semantics exactly, so the
-  contended engine is a strict superset of the original one.
+  arbitration is deterministic oldest-first.  Unbounded (``None``) limits
+  reproduce the pre-contention semantics exactly, so the contended engine
+  is a strict superset of the original one.
 
-:class:`~repro.uarch.timing.scheduler.RescanScheduler` keeps the naive
-cycle-by-cycle re-scanning loop alive as a measured baseline; both schedulers
-are property-tested to produce identical cycle assignments -- with and
-without contention -- and ``benchmarks/run_perf.py`` tracks the event
-engine's speedup in ``BENCH_core.json``.
+The tests hold the event scheduler equal, cycle for cycle and with and
+without contention, to a naive reference that advances one cycle at a time
+and re-scans every in-flight instruction (``tests/rescan_reference.py``).
 
 Port/CDB contention is what makes the Section II-C *functional-unit
 contention* covert channels measurable: traces record per-op stall
@@ -74,7 +72,7 @@ helpers, same exploit corpus) whose :meth:`run` returns a
 and sharded (attack x defense) sweeps.
 """
 
-from .core import SCHEDULERS, TimingCPU, TimingResult
+from .core import TimingCPU, TimingResult
 from .ops import (
     PORT_POOLS,
     DynamicOp,
@@ -88,7 +86,6 @@ from .scheduler import (
     DEFAULT_MODEL,
     SERIALIZED_MODEL,
     EventScheduler,
-    RescanScheduler,
     Schedule,
     TimingModel,
 )
@@ -100,8 +97,6 @@ __all__ = [
     "DynamicOp",
     "EventScheduler",
     "PORT_POOLS",
-    "RescanScheduler",
-    "SCHEDULERS",
     "SERIALIZED_MODEL",
     "Schedule",
     "ScheduledOp",

@@ -34,17 +34,8 @@ from ...isa.program import Program
 from ..config import DEFAULT_CONFIG, UarchConfig
 from ..pipeline import ExecutionResult, SpeculativeCPU
 from .ops import DynamicOp, WindowRecord, window_kind
-from .scheduler import (
-    DEFAULT_MODEL,
-    EventScheduler,
-    RescanScheduler,
-    Schedule,
-    TimingModel,
-)
+from .scheduler import DEFAULT_MODEL, EventScheduler, TimingModel
 from .trace import TimingTrace, build_trace
-
-#: Scheduler registry keyed by the ``scheduler=`` constructor argument.
-SCHEDULERS = {"event": EventScheduler, "rescan": RescanScheduler}
 
 
 @dataclass
@@ -69,15 +60,9 @@ class TimingCPU(SpeculativeCPU):
         *,
         supervisor: bool = False,
         model: TimingModel = DEFAULT_MODEL,
-        scheduler: str = "event",
     ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; known: {', '.join(sorted(SCHEDULERS))}"
-            )
         super().__init__(program, config, supervisor=supervisor)
         self.model = model
-        self.scheduler_kind = scheduler
         #: One trace per :meth:`run` call, oldest first.
         self.traces: List[TimingTrace] = []
         self.last_trace: Optional[TimingTrace] = None
@@ -223,14 +208,9 @@ class TimingCPU(SpeculativeCPU):
     def _schedule_recorded(self) -> TimingTrace:
         ops = self._rec_ops or []
         windows = [w for w in self._rec_windows if w.trigger_seq >= 0]
-        schedule: Schedule = SCHEDULERS[self.scheduler_kind](self.model).schedule(ops)
+        schedule = EventScheduler(self.model).schedule(ops)
         trace = build_trace(
-            ops,
-            windows,
-            schedule,
-            self.model,
-            self.config.cache_miss_latency,
-            scheduler=self.scheduler_kind,
+            ops, windows, schedule, self.model, self.config.cache_miss_latency
         )
         self.last_ops = list(ops)
         self.last_windows = list(windows)

@@ -1,7 +1,6 @@
-"""Cycle-accurate schedulers for the out-of-order timing plane.
+"""The cycle-accurate scheduler of the out-of-order timing plane.
 
-Two interchangeable implementations of the same Tomasulo-style timing
-semantics, sharing one deterministic specification:
+One deterministic Tomasulo-style timing specification:
 
 * **dispatch** -- in program (dynamic) order, at most ``dispatch_width`` ops
   per cycle, stalling while the reorder buffer or the reservation-station
@@ -33,18 +32,16 @@ semantics, sharing one deterministic specification:
   execution port, but their completions do occupy broadcast slots (the ROB
   writeback port they share with everything else).
 
-:class:`EventScheduler` is the production engine: a single heap of
-cycle-stamped events (complete / retire-try / dispatch-try / issue) so each
-simulated cycle only touches ops that actually wake up -- idle stretches of a
+:class:`EventScheduler` implements it with a single heap of cycle-stamped
+events (complete / retire-try / dispatch-try / issue) so each simulated
+cycle only touches ops that actually wake up -- idle stretches of a
 200-cycle cache miss cost nothing.  With an uncontended model it runs the
 original unbounded fast path; any port/CDB bound switches it to the contended
 path, which adds per-pool occupancy counters, oldest-first port queues and a
-per-cycle CDB budget (losers re-arbitrate next cycle).  Both paths, and the
-deliberately naive :class:`RescanScheduler` baseline (advance one cycle at a
-time, re-scan every in-flight instruction), produce identical
-:class:`Schedule` objects -- property-tested in
-``tests/test_timing_scheduler.py`` -- so the event engine's speedup is
-measured against a semantically equal oracle under contention too.
+per-cycle CDB budget (losers re-arbitrate next cycle).  Both paths must
+produce the :class:`Schedule` of a naive reference that advances one cycle at
+a time and re-scans every in-flight instruction; that reference lives in
+``tests/rescan_reference.py`` and the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .ops import PORT_POOLS, DynamicOp, port_kind
 
-#: Intra-cycle phase order shared by both schedulers: completions broadcast
+#: Intra-cycle phase order of the specification: completions broadcast
 #: (freeing reservation stations and ports), then the ROB head retires, then
 #: stalled dispatch resumes (same-cycle reuse of freed entries), then woken
 #: and port-granted ops issue.
@@ -79,7 +76,7 @@ class TimingModel:
     :data:`~repro.uarch.timing.ops.PORT_POOLS` and ``cdb_width`` bounds the
     completions broadcast per cycle; ``None`` (the default everywhere) means
     unbounded -- the pre-contention model.  Any bound makes the model
-    :attr:`contended` and switches the schedulers to oldest-first port / CDB
+    :attr:`contended` and switches the scheduler to oldest-first port / CDB
     arbitration, which is what makes the Section II-C *functional-unit
     contention* covert channels measurable in cycles.
     """
@@ -164,7 +161,7 @@ class Schedule:
     producers broadcast); ``issue - ready`` is therefore the op's port-stall
     time and ``complete - issue - max(1, latency)`` its CDB-stall time --
     the stall provenance the trace layer reports.  Hand-built schedules may
-    omit it (``None``); both schedulers always fill it.
+    omit it (``None``); the scheduler always fills it.
     """
 
     dispatch: List[int]
@@ -331,8 +328,8 @@ class EventScheduler:
         remainder carrying to the next cycle's mask.  Port-stalled ops sit in
         a per-pool wait bitmask whose lowest set bit is the oldest waiter, so
         ``mask & -mask`` hands a freed port to the same op the old per-pool
-        heap would have popped.  ``tests/test_batch_plane.py`` keeps a
-        verbatim pre-mask copy of the rescan walk and cross-checks both.
+        heap would have popped.  ``tests/rescan_reference.py`` keeps the
+        per-cycle rescan walk the tests cross-check this path against.
 
         Handles ``None`` limits too (they simply never bind), which is what
         the no-regression property test exercises: with every limit unbounded
@@ -511,163 +508,4 @@ class EventScheduler:
 
         if head < n:  # pragma: no cover - scheduler invariant
             raise RuntimeError(f"deadlock: {n - head} ops never retired")
-        return Schedule(dispatch, issue, complete, retire, ready)
-
-
-class RescanScheduler:
-    """The naive baseline: advance one cycle at a time, re-scan everything.
-
-    Implements the identical timing specification by brute force -- each
-    cycle re-arbitrates every in-flight instruction, the way the
-    interpreter's per-cycle loop re-scans its window.  The per-cycle state
-    lives in integer bitmasks over the dynamic seq space: ``waiting`` holds
-    the dispatched-not-yet-issued ops, each op carries a ``dep_mask`` of its
-    producer seqs, and ``visible`` snapshots the ops whose broadcast has
-    landed (completed on an earlier cycle).  Wakeup is then one bit test per
-    waiting op -- ``dep_mask & ~visible == 0`` -- instead of the old walk
-    over its producer set, finished ops bucket into a per-cycle
-    ``finishers`` mask whose ``cdb_width`` lowest bits (oldest seqs) win
-    broadcast, and the waiting mask is drained lowest-bit-first so scarce
-    ports still go to the oldest data-ready contenders.  The pre-mask walk
-    survives verbatim as ``ReferenceRescanScheduler`` in
-    ``tests/test_batch_plane.py``, differentially tested equal, and this
-    scheduler stays the event engine's per-cycle oracle.
-    """
-
-    def __init__(self, model: TimingModel = DEFAULT_MODEL) -> None:
-        self.model = model
-
-    def schedule(self, ops: Sequence[DynamicOp]) -> Schedule:
-        model = self.model
-        n = len(ops)
-        dispatch = [0] * n
-        issue = [0] * n
-        complete = [0] * n
-        retire = [0] * n
-        ready = [0] * n
-        if n == 0:
-            return Schedule(dispatch, issue, complete, retire, ready)
-
-        rat: Dict[str, int] = {}
-        last_fence: Optional[int] = None
-        dep_mask: Dict[int, int] = {}  # seq -> bitmask of its producer seqs
-        waiting = 0  # bitmask: dispatched, not yet issued
-        finishers: Dict[int, int] = {}  # cycle -> bitmask finishing execution
-        carry = 0  # bitmask: finished ops that lost CDB arbitration
-        broadcast = 0  # bitmask: ops whose completion has been granted
-        visible = 0  # ``broadcast`` as of the end of the previous cycle
-        in_flight = 0  # bitmask: dispatched, not yet completed
-        ready_seen = 0  # bitmask: ops whose ready cycle is stamped
-
-        pools = [port_kind(op.kind) for op in ops]
-        limits = {pool: model.port_limit(pool) for pool in PORT_POOLS}
-        port_used = {pool: 0 for pool in PORT_POOLS}
-        cdb_width = model.cdb_width
-
-        next_dispatch = 0
-        head = 0
-        rob_used = 0
-        rs_used = 0
-        cycle = 0
-
-        while head < n:
-            # Phase 1: broadcasts.  Every op whose execution has finished --
-            # this cycle's bucket plus the carried losers -- wants a CDB
-            # slot; the ``cdb_width`` lowest set bits (oldest seqs) win.
-            # Completion frees the reservation station and the port.
-            granted = carry | finishers.pop(cycle, 0)
-            carry = 0
-            if cdb_width is not None:
-                mask, granted = granted, 0
-                for _ in range(cdb_width):
-                    if not mask:
-                        break
-                    low = mask & -mask
-                    granted |= low
-                    mask ^= low
-                carry = mask
-            grants = granted
-            while grants:
-                low = grants & -grants
-                grants ^= low
-                seq = low.bit_length() - 1
-                complete[seq] = cycle
-                rs_used -= 1
-                pool = pools[seq]
-                if pool is not None and limits[pool] is not None:
-                    port_used[pool] -= 1
-            broadcast |= granted
-            in_flight &= ~granted
-
-            # Phase 2: in-order retirement from the ROB head.  A head op is
-            # retirable once its broadcast is *visible* (completed on an
-            # earlier cycle) -- exactly the ``visible`` snapshot bit.
-            retired = 0
-            while (
-                head < n
-                and (visible >> head) & 1
-                and retired < model.commit_width
-            ):
-                retire[head] = cycle
-                rob_used -= 1
-                head += 1
-                retired += 1
-
-            # Phase 3: in-order dispatch into freed entries.
-            dispatched = 0
-            while (
-                next_dispatch < n
-                and dispatched < model.dispatch_width
-                and rob_used < model.rob_size
-                and rs_used < model.rs_entries
-            ):
-                op = ops[next_dispatch]
-                seq = next_dispatch
-                bit = 1 << seq
-                dispatch[seq] = cycle
-                rob_used += 1
-                rs_used += 1
-                in_flight |= bit
-                producers = 0
-                for producer in _dependencies(op, rat, last_fence):
-                    producers |= 1 << producer
-                if op.kind == "fence":
-                    producers |= in_flight & ~bit  # every older in-flight op
-                    last_fence = seq
-                dep_mask[seq] = producers
-                for name in op.writes:
-                    rat[name] = seq
-                waiting |= bit
-                next_dispatch += 1
-                dispatched += 1
-
-            # Phase 4: wake and arbitrate the waiting set in one mask pass
-            # (the O(in-flight) work per cycle the event queue exists to
-            # avoid, now one producer-mask test per op instead of a walk
-            # over its producer set).  Bits drain lowest first, so scarce
-            # ports go to the oldest data-ready contenders.
-            scan = waiting
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                seq = low.bit_length() - 1
-                if dispatch[seq] >= cycle or dep_mask[seq] & ~visible:
-                    continue  # not data-ready; stays waiting
-                if not (ready_seen >> seq) & 1:
-                    ready_seen |= low
-                    ready[seq] = cycle
-                pool = pools[seq]
-                limit = limits[pool] if pool is not None else None
-                if limit is not None and port_used[pool] >= limit:
-                    continue  # port-stalled; retries next cycle
-                if limit is not None:
-                    port_used[pool] += 1
-                waiting ^= low
-                issue[seq] = cycle
-                finish = cycle + max(1, ops[seq].latency)
-                finishers[finish] = finishers.get(finish, 0) | low
-
-            visible = broadcast
-            cycle += 1
-
         return Schedule(dispatch, issue, complete, retire, ready)

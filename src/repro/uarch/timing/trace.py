@@ -156,7 +156,6 @@ class TimingTrace:
     ops: List[ScheduledOp]
     windows: List[WindowTiming]
     cycles: int
-    scheduler: str = "event"
 
     # ------------------------------------------------------------------
     # Race verdicts
@@ -235,7 +234,6 @@ class TimingTrace:
 
     def summary(self) -> Dict[str, object]:
         return {
-            "scheduler": self.scheduler,
             "cycles": self.cycles,
             "ops": len(self.ops),
             "transient_ops": sum(1 for row in self.ops if row.op.transient),
@@ -264,7 +262,6 @@ def build_trace(
     schedule: Schedule,
     model: TimingModel,
     miss_latency: int,
-    scheduler: str = "event",
 ) -> TimingTrace:
     """Assemble a :class:`TimingTrace` from the scheduler's cycle assignments."""
     timings: List[WindowTiming] = []
@@ -322,6 +319,4 @@ def build_trace(
                 cdb_stall=schedule.complete[seq] - schedule.issue[seq] - execution,
             )
         )
-    return TimingTrace(
-        ops=rows, windows=timings, cycles=schedule.cycles, scheduler=scheduler
-    )
+    return TimingTrace(ops=rows, windows=timings, cycles=schedule.cycles)

@@ -2,11 +2,11 @@
 
 Two families of guarantees of the batch timing plane live here:
 
-* **Masked arbitration == per-op walk.**  Both schedulers now arbitrate
+* **Masked arbitration == per-op walk.**  The event scheduler arbitrates
   each cycle's ready ops in one integer-bitmask pass;
-  :class:`ReferenceRescanScheduler` below is the *verbatim* pre-mask
-  rescan walk, kept as the fixed point the refactor is differentially
-  tested against (both schedulers, random contended models, the paper's
+  :class:`~rescan_reference.ReferenceRescanScheduler` is the *verbatim*
+  pre-mask rescan walk, kept as the fixed point the refactor is
+  differentially tested against (random contended models, the paper's
   exploit corpus).
 * **Batch == per-point.**  ``Engine.simulate_batch`` envelopes are
   byte-identical (``Result.to_json``) to the same points served one
@@ -27,11 +27,11 @@ from __future__ import annotations
 import io
 import json
 import random
-from typing import Dict, List, Optional, Sequence, Set
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rescan_reference import ReferenceRescanScheduler
 from test_timing_scheduler import random_contended_model, random_stream
 
 from repro import perf
@@ -40,145 +40,10 @@ from repro.obs.progress import MIN_MEASURABLE_SECONDS, ProgressLine
 from repro.scenario import ScenarioSpec
 from repro.store import DiskStore
 from repro.uarch.defenses import SimDefense
-from repro.uarch.timing import (
-    DEFAULT_MODEL,
-    EventScheduler,
-    RescanScheduler,
-    Schedule,
-    TimingModel,
-)
-from repro.uarch.timing.ops import PORT_POOLS, port_kind
-from repro.uarch.timing.scheduler import _dependencies
+from repro.uarch.timing import EventScheduler
 from repro.uarch.timing.validate import SCENARIOS
 
 pytestmark = pytest.mark.batch
-
-
-class ReferenceRescanScheduler:
-    """The pre-mask rescan walk, verbatim -- the differential fixed point.
-
-    This is the :class:`~repro.uarch.timing.scheduler.RescanScheduler`
-    exactly as it stood before the bitmask refactor: per-op producer-set
-    walks, a sorted scan of the executing list for CDB arbitration, and
-    Python-set bookkeeping.  Do not modernize it; its whole value is that
-    it did not change when the production schedulers did.
-    """
-
-    def __init__(self, model: TimingModel = DEFAULT_MODEL) -> None:
-        self.model = model
-
-    def schedule(self, ops) -> Schedule:
-        model = self.model
-        n = len(ops)
-        dispatch = [0] * n
-        issue = [0] * n
-        complete = [0] * n
-        retire = [0] * n
-        ready = [0] * n
-        if n == 0:
-            return Schedule(dispatch, issue, complete, retire, ready)
-
-        rat: Dict[str, int] = {}
-        last_fence: Optional[int] = None
-        deps: Dict[int, Set[int]] = {}
-        waiting: List[int] = []  # dispatched, not yet issued (ascending seq)
-        executing: List[int] = []  # issued, not yet completed (broadcast)
-        finish: Dict[int, int] = {}  # seq -> cycle its execution finishes
-        ready_seen: Set[int] = set()
-        done: Set[int] = set()
-        in_flight: Set[int] = set()
-
-        pools = [port_kind(op.kind) for op in ops]
-        limits = {pool: model.port_limit(pool) for pool in PORT_POOLS}
-        port_used = {pool: 0 for pool in PORT_POOLS}
-        cdb_width = model.cdb_width
-
-        next_dispatch = 0
-        head = 0
-        rob_used = 0
-        rs_used = 0
-        cycle = 0
-
-        while head < n:
-            finished = sorted(seq for seq in executing if finish[seq] <= cycle)
-            if cdb_width is not None:
-                finished = finished[:cdb_width]
-            if finished:
-                granted = set(finished)
-                executing = [seq for seq in executing if seq not in granted]
-                for seq in finished:
-                    complete[seq] = cycle
-                    done.add(seq)
-                    in_flight.discard(seq)
-                    rs_used -= 1
-                    pool = pools[seq]
-                    if pool is not None and limits[pool] is not None:
-                        port_used[pool] -= 1
-
-            retired = 0
-            while (
-                head < n
-                and head in done
-                and complete[head] <= cycle - 1
-                and retired < model.commit_width
-            ):
-                retire[head] = cycle
-                rob_used -= 1
-                head += 1
-                retired += 1
-
-            dispatched = 0
-            while (
-                next_dispatch < n
-                and dispatched < model.dispatch_width
-                and rob_used < model.rob_size
-                and rs_used < model.rs_entries
-            ):
-                op = ops[next_dispatch]
-                seq = next_dispatch
-                dispatch[seq] = cycle
-                rob_used += 1
-                rs_used += 1
-                in_flight.add(seq)
-                op_deps = _dependencies(op, rat, last_fence)
-                if op.kind == "fence":
-                    op_deps |= in_flight - done - {seq}
-                    last_fence = seq
-                deps[seq] = op_deps
-                for name in op.writes:
-                    rat[name] = seq
-                waiting.append(seq)
-                next_dispatch += 1
-                dispatched += 1
-
-            still_waiting = []
-            for seq in waiting:
-                producers = deps[seq]
-                data_ready = dispatch[seq] <= cycle - 1 and all(
-                    producer in done and complete[producer] <= cycle - 1
-                    for producer in producers
-                )
-                if not data_ready:
-                    still_waiting.append(seq)
-                    continue
-                if seq not in ready_seen:
-                    ready_seen.add(seq)
-                    ready[seq] = cycle
-                pool = pools[seq]
-                limit = limits[pool] if pool is not None else None
-                if limit is not None and port_used[pool] >= limit:
-                    still_waiting.append(seq)
-                    continue
-                if limit is not None:
-                    port_used[pool] += 1
-                issue[seq] = cycle
-                finish[seq] = cycle + max(1, ops[seq].latency)
-                executing.append(seq)
-            waiting = still_waiting
-
-            cycle += 1
-
-        return Schedule(dispatch, issue, complete, retire, ready)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +51,11 @@ class ReferenceRescanScheduler:
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(12))
 def test_masked_schedulers_equal_reference_walk(seed):
-    """Seeded sweep: both mask-pass schedulers match the verbatim old walk."""
+    """Seeded sweep: the mask-pass scheduler matches the verbatim old walk."""
     rng = random.Random(seed)
     ops = random_stream(rng, rng.randint(1, 80))
     model = random_contended_model(rng)
     reference = ReferenceRescanScheduler(model).schedule(ops)
-    assert RescanScheduler(model).schedule(ops) == reference
     assert EventScheduler(model).schedule(ops) == reference
 
 
@@ -205,7 +69,6 @@ def test_masked_schedulers_equal_reference_walk_property(seed, length):
     ops = random_stream(rng, length)
     model = random_contended_model(rng)
     reference = ReferenceRescanScheduler(model).schedule(ops)
-    assert RescanScheduler(model).schedule(ops) == reference
     assert EventScheduler(model).schedule(ops) == reference
 
 
@@ -230,7 +93,6 @@ def test_reference_walk_on_exploit_corpus():
     for ops in streams:
         for model in (CONTENDED_MODEL, SERIALIZED_MODEL):
             reference = ReferenceRescanScheduler(model).schedule(ops)
-            assert RescanScheduler(model).schedule(ops) == reference
             assert EventScheduler(model).schedule(ops) == reference
 
 
@@ -407,7 +269,9 @@ def test_progress_rate_clamped_below_measurable_elapsed():
 def _fake_trajectory(tmp_path, stamp: str):
     path = tmp_path / "BENCH.json"
     path.write_text(
-        json.dumps({"benchmark": "x", "runs": [{"source_digest": stamp, "results": [1]}]})
+        json.dumps(
+            {"benchmark": "x", "runs": [{"source_digest": stamp, "engine_results": [1]}]}
+        )
     )
     return path
 
@@ -427,5 +291,5 @@ def test_perf_check_fails_on_stale_commit(tmp_path, monkeypatch, capsys):
 
 
 def test_stale_records_flags_an_unstamped_record():
-    [line] = perf.stale_records({"runs": [{"results": [1]}]})
-    assert "latest results record" in line
+    [line] = perf.stale_records({"runs": [{"engine_results": [1]}]})
+    assert "latest engine_results record" in line

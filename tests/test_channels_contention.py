@@ -57,17 +57,9 @@ class TestPortContentionSurface:
         surface = PortContentionSurface(model, pool=pool)
         assert surface.occupancy_delta(3) == 3 * surface.op_latency
 
-    def test_event_and_rescan_surfaces_measure_identically(self):
-        event = PortContentionSurface(scheduler="event")
-        rescan = PortContentionSurface(scheduler="rescan")
-        for senders in range(6):
-            assert event.probe(senders, 4) == rescan.probe(senders, 4)
-
-    def test_unknown_pool_and_scheduler_are_rejected(self):
+    def test_unknown_pool_and_empty_probe_are_rejected(self):
         with pytest.raises(ValueError):
             PortContentionSurface(pool="fpu")
-        with pytest.raises(ValueError):
-            PortContentionSurface(scheduler="magic")
         with pytest.raises(ValueError):
             PortContentionSurface().probe(0, 0)
 

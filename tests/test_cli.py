@@ -286,33 +286,30 @@ GOOD_SERVICE_RECORD = {
     "dedup_hit_rate": 0.4375,
 }
 
+GOOD_GRID_RECORD = {
+    "benchmark": "grid-resume", "points": 200, "resume_recomputed": 0,
+    "puts": 200, "computed": 200, "puts_per_computed_point": 1.0,
+    "disabled_tracer_reads": 0,
+}
+
+GOOD_FUZZ_RECORD = {
+    "benchmark": "fuzz-throughput", "points_per_second": 600.0,
+    "disagreed": 0, "quarantined": 0,
+}
+
+
+def _perfbench_record(name, correct=True):
+    return {"benchmark": f"perfbench-{name}", "workload": name, "correct": correct}
+
 
 def _healthy_run():
     """One run stamped with the current sources on which every gate passes."""
     return {
         "source_digest": perf.source_digest(),
-        "results": [
-            {"graph": "layered-50v", "speedup_all_pairs": 80.0},
-            {"graph": "layered-200v", "speedup_all_pairs": 1000.0},
-        ],
-        "engine_results": [
-            {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
-            {"benchmark": "engine-attack-space",
-             "speedup_engine_serial_vs_serial": 4.0},
-            {"benchmark": "engine-disk-warm-run", "speedup_warm_disk": 100.0},
-            {"benchmark": "grid-resume-overhead", "overhead_fraction": 0.02,
-             "resume_recomputed": 0, "trace_off_overhead_fraction": 0.01},
-            dict(GOOD_SERVICE_RECORD),
-        ],
-        "timing_results": [
-            {"benchmark": "timing-event-queue", "speedup_event_vs_rescan": 100.0},
-            {"benchmark": "timing-event-queue-contended",
-             "speedup_event_vs_rescan": 80.0},
-            {"benchmark": "timing-batch", "speedup_batch_vs_per_point": 15.0},
-        ],
-        "fuzz_results": [
-            {"benchmark": "fuzz-throughput", "points_per_second": 600.0,
-             "disagreed": 0, "quarantined": 0},
+        "engine_results": [dict(GOOD_GRID_RECORD), dict(GOOD_SERVICE_RECORD)],
+        "fuzz_results": [dict(GOOD_FUZZ_RECORD)],
+        "perfbench_results": [
+            _perfbench_record(name) for name in perf.PERFBENCH_WORKLOADS
         ],
     }
 
@@ -321,61 +318,21 @@ def _violating(gate):
     """A value just outside ``gate``'s bound."""
     if gate.op == ">=":
         return gate.bound / 2
-    if gate.op == "<=":
-        return gate.bound * 2
     return not gate.bound if isinstance(gate.bound, bool) else gate.bound + 1
 
 
 class TestPerfCheck:
-    def test_perf_quick_smoke_and_check_roundtrip(self, tmp_path, capsys):
-        output = tmp_path / "bench.json"
-        assert main(["perf", "--quick", "-o", str(output)]) == 0
-        out = capsys.readouterr().out
-        assert "timing scheduler" in out and "event queue" in out
-        assert "contended timing scheduler" in out
-        trajectory = json.loads(output.read_text())
-        records = trajectory["runs"][-1]["timing_results"]
-        # Default runs keep the demoted 200-instruction rescan baseline
-        # (the timing-batch record counts points, not instructions).
-        assert all(
-            record["instructions"] <= 200
-            for record in records
-            if "instructions" in record
-        )
-        by_name = {record["benchmark"]: record for record in records}
-        assert by_name["timing-event-queue"]["speedup_event_vs_rescan"] > 5
-        assert by_name["timing-event-queue-contended"]["speedup_event_vs_rescan"] > 5
-        assert by_name["timing-event-queue-contended"]["contended"] is True
-        assert by_name["timing-batch"]["speedup_batch_vs_per_point"] > 1
-
     def test_perf_check_fails_on_regression(self, tmp_path, capsys):
         bad = {
             "runs": [{
                 "source_digest": perf.source_digest(),
-                "results": [{"graph": "layered-200v", "speedup_all_pairs": 2.0}],
                 "engine_results": [
-                    {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 1.0},
-                    {"benchmark": "engine-attack-space",
-                     "speedup_engine_serial_vs_serial": 0.5},
-                    {"benchmark": "engine-disk-warm-run",
-                     "speedup_warm_disk": 2.0},
-                    {"benchmark": "grid-resume-overhead", "points": 200,
-                     "plain_seconds": 1.5, "checkpoint_seconds": 2.25,
-                     "overhead_fraction": 0.5, "resume_seconds": 0.9,
-                     "resume_recomputed": 3, "speedup_resume": 1.7,
-                     "trace_off_seconds": 1.875,
-                     "trace_off_overhead_fraction": 0.25},
+                    {"benchmark": "grid-resume", "points": 200,
+                     "resume_recomputed": 3, "puts": 400, "computed": 200,
+                     "puts_per_computed_point": 2.0, "disabled_tracer_reads": 5},
                     {"benchmark": "service-throughput", "clients": 8,
                      "requests": 80, "unique_specs": 45, "computed": 80,
                      "perfect_dedup": False, "dedup_hit_rate": 0.0},
-                ],
-                "timing_results": [
-                    {"benchmark": "timing-event-queue", "instructions": 500,
-                     "speedup_event_vs_rescan": 1.5},
-                    {"benchmark": "timing-event-queue-contended",
-                     "instructions": 500, "speedup_event_vs_rescan": 1.5},
-                    {"benchmark": "timing-batch", "points": 380,
-                     "speedup_batch_vs_per_point": 2.0},
                 ],
                 "fuzz_results": [
                     {"benchmark": "fuzz-throughput", "count": 96,
@@ -383,65 +340,33 @@ class TestPerfCheck:
                      "points_per_second": 1.0, "buckets": 1,
                      "disagreed": 2, "quarantined": 1},
                 ],
+                "perfbench_results": [
+                    _perfbench_record(name, correct=False)
+                    for name in perf.PERFBENCH_WORKLOADS
+                ],
             }]
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert main(["perf", "--check", "-o", str(path)]) == 1
         out = capsys.readouterr().out
-        assert out.count("FAIL:") == 15
-        assert "PASS" not in out  # every floor violated: the table agrees
-        assert "contended event-queue scheduler" in out
-        assert "warm DiskStore run" in out
-        assert "service dedup hit-rate" in out
+        assert out.count("FAIL:") == len(perf.GATES) == 12
+        assert "PASS" not in out  # every gate violated: the table agrees
+        assert "FAIL: grid checkpoint puts per computed point: observed 2.00" in out
+        assert "FAIL: disabled-tracer reads during run_grid: observed 5" in out
         assert "single-flight" in out
-        assert "FAIL: tracing-off grid overhead" in out
-        assert "tracing-off grid overhead" in out
         assert "FAIL: fuzz campaign programs/sec (both oracles): observed 1/s" in out
         assert "FAIL: fuzz campaign oracle disagreements: observed 2" in out
+        assert "FAIL: perfbench service-mixed: outputs correct: observed False" in out
 
     def test_perf_check_passes_on_healthy_trajectory(self, tmp_path, capsys):
-        good = {
-            "runs": [{
-                "source_digest": perf.source_digest(),
-                "results": [{"graph": "layered-200v", "speedup_all_pairs": 1000.0}],
-                "engine_results": [
-                    {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
-                    {"benchmark": "engine-attack-space",
-                     "speedup_engine_serial_vs_serial": 4.0},
-                    {"benchmark": "engine-disk-warm-run",
-                     "speedup_warm_disk": 100.0},
-                    {"benchmark": "grid-resume-overhead", "points": 200,
-                     "plain_seconds": 1.5, "checkpoint_seconds": 1.53,
-                     "overhead_fraction": 0.02, "resume_seconds": 0.04,
-                     "resume_recomputed": 0, "speedup_resume": 37.0,
-                     "trace_off_seconds": 1.515,
-                     "trace_off_overhead_fraction": 0.01},
-                    dict(GOOD_SERVICE_RECORD),
-                ],
-                "timing_results": [
-                    {"benchmark": "timing-event-queue", "instructions": 500,
-                     "speedup_event_vs_rescan": 100.0},
-                    {"benchmark": "timing-event-queue-contended",
-                     "instructions": 500, "speedup_event_vs_rescan": 80.0},
-                    {"benchmark": "timing-batch", "points": 380,
-                     "speedup_batch_vs_per_point": 15.0},
-                ],
-                "fuzz_results": [
-                    {"benchmark": "fuzz-throughput", "count": 96,
-                     "executed": 96, "seconds": 0.16,
-                     "points_per_second": 600.0, "buckets": 30,
-                     "disagreed": 0, "quarantined": 0},
-                ],
-            }]
-        }
         path = tmp_path / "good.json"
-        path.write_text(json.dumps(good))
+        path.write_text(json.dumps({"runs": [_healthy_run()]}))
         assert main(["perf", "--check", "-o", str(path)]) == 0
         assert "all perf thresholds hold" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "gate", perf.GATES, ids=lambda gate: f"{gate.benchmark or gate.family}:{gate.field}"
+        "gate", perf.GATES, ids=lambda gate: f"{gate.benchmark}:{gate.field}"
     )
     def test_perf_check_grades_each_gate_both_ways(self, gate, tmp_path, capsys):
         """Healthy passes every row; violating or dropping one gate fails it alone."""
@@ -495,28 +420,63 @@ class TestPerfCheck:
         rows = perf.threshold_report(json.loads(trajectory.read_text()))
         assert [row["check"] for row in rows if row["observed"] == "missing"] == []
 
-    def test_perf_quick_and_full_are_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            main(["perf", "--quick", "--full"])
+    def test_perf_runs_every_benchmark_workload_then_checks(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """`repro perf` runs BENCHMARK.json's command once per workload (the
+        runner stubbed: tier-1 never spawns perfbench) and its run passes."""
+        spec = json.loads((perf.CHECKOUT / "BENCHMARK.json").read_text())
+        commands = []
 
-    def test_perf_full_selects_the_500_instruction_baseline(self, monkeypatch, capsys):
-        """--full restores the demoted 500-instruction rescan run (plumbing
-        test: the suite itself is too expensive for tier-1)."""
-        captured = {}
+        def fake_perfbench(root, command):
+            assert root == perf.CHECKOUT
+            commands.append(list(command))
+            metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                       for m in spec["end_to_end"]}
+            return {"correct": True, "attempted": 10, "failed": 0,
+                    "metrics": metrics}
 
-        def fake_suite(**kwargs):
-            captured.update(kwargs)
-            return {"source_digest": "test", "timestamp": "now", "results": []}
+        monkeypatch.setattr(perf, "run_perfbench", fake_perfbench)
+        monkeypatch.setattr(perf, "measure_grid_resume",
+                            lambda: dict(GOOD_GRID_RECORD, ms_per_put=0.5,
+                                         plain_seconds=1.0, checkpoint_seconds=1.5))
+        monkeypatch.setattr(perf, "measure_service_throughput",
+                            lambda: dict(GOOD_SERVICE_RECORD, requests_per_second=100.0,
+                                         p50_ms=10.0, p99_ms=20.0))
+        monkeypatch.setattr(perf, "measure_fuzz_throughput",
+                            lambda: dict(GOOD_FUZZ_RECORD, count=96, buckets=30))
+        output = tmp_path / "bench.json"
+        assert main(["perf", "-o", str(output)]) == 0
+        out = capsys.readouterr().out
+        workloads = [workload["name"] for workload in spec["workloads"]]
+        assert commands == [
+            [*spec["command"], "--workload", name, "--seed", str(perf.PERFBENCH_SEED),
+             "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+            for name in workloads
+        ]
+        assert list(perf.PERFBENCH_WORKLOADS) == workloads
+        assert "perfbench service-mixed" in out and "setup_s 1 s" in out
+        assert main(["perf", "--check", "-o", str(output)]) == 0
 
-        monkeypatch.setattr(perf, "run_perf_suite", fake_suite)
-        monkeypatch.setattr(perf, "append_run", lambda path, run: run)
-        assert main(["perf", "--full", "-o", "ignored.json"]) == 0
-        capsys.readouterr()
-        assert captured["timing_instructions"] == 500
-        captured.clear()
-        assert main(["perf", "-o", "ignored.json"]) == 0
-        capsys.readouterr()
-        assert captured["timing_instructions"] == 200
+    def test_perf_outside_a_checkout_exits_nonzero_and_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(perf, "CHECKOUT", tmp_path)
+        monkeypatch.setattr(perf, "run_perf_suite", lambda root: pytest.fail("measured"))
+        output = tmp_path / "bench.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["perf", "-o", str(output)])
+        assert exit_info.value.code not in (0, None)
+        assert "checkout" in str(exit_info.value.code)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_resume_facts_on_a_few_points(self):
+        """Resume recomputes 0, one put per computed point, 0 tracer reads."""
+        record = perf.measure_grid_resume(points=3)
+        assert record["computed"] == record["puts"] == 3
+        for gate in perf.GATES:
+            if gate.benchmark == "grid-resume":
+                assert gate.holds(record[gate.field]), gate.label
 
     def test_perf_check_missing_file(self, tmp_path, capsys):
         assert main(["perf", "--check", "-o", str(tmp_path / "absent.json")]) == 1

@@ -254,6 +254,19 @@ class TestExecutionPlane:
         # 3 sources x 3 delays = 9 structures for 18 combinations.
         assert stats["misses"] == 9 and stats["hits"] == 9
 
+    def test_attack_space_sweep_counts_the_per_combination_leaks(self, engine):
+        """The verdict-cached sweep over every combination counts the same
+        leaks as one graph build + leak check per combination."""
+        from repro.attacks.generator import enumerate_attack_space
+        from repro.defenses.evaluation import attack_succeeds
+
+        attacks = list(enumerate_attack_space())
+        result = engine.synthesize()
+        assert result.data["combinations"] == len(attacks) == 1008
+        assert result.data["leaking"] == sum(
+            attack_succeeds(attack.build_graph()) for attack in attacks
+        )
+
 
 # ---------------------------------------------------------------------------
 # The Result envelope

@@ -360,9 +360,7 @@ class TestServiceTraceAcceptance:
             engine = Engine(store=MemoryStore(), parallel=2)
             service = AnalysisService(
                 engine,
-                ServiceConfig(
-                    batch_size=16, batch_window=0.01, trace_path=str(trace_path)
-                ),
+                ServiceConfig(batch_size=16, trace_path=str(trace_path)),
             )
             await service.start(listen=False)
             envelopes = await asyncio.gather(
@@ -423,7 +421,7 @@ class TestServiceTraceAcceptance:
             engine = Engine(store=MemoryStore())
             service = AnalysisService(
                 engine,
-                ServiceConfig(batch_window=0.01, trace_path=str(trace_path)),
+                ServiceConfig(trace_path=str(trace_path)),
             )
             await service.start(listen=False)
             first = await service.request(_spec(7))

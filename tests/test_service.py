@@ -56,7 +56,7 @@ class TestSingleFlight:
 
         async def body():
             engine = Engine(store=MemoryStore())
-            service = AnalysisService(engine, ServiceConfig(batch_window=0.01))
+            service = AnalysisService(engine, ServiceConfig())
             await service.start(listen=False)
             envelopes = await asyncio.gather(
                 *(service.request(_spec()) for _ in range(fanout))
@@ -79,7 +79,7 @@ class TestSingleFlight:
     def test_distinct_specs_each_compute(self):
         async def body():
             engine = Engine(store=MemoryStore())
-            service = AnalysisService(engine, ServiceConfig(batch_window=0.01))
+            service = AnalysisService(engine, ServiceConfig())
             await service.start(listen=False)
             envelopes = await asyncio.gather(
                 *(service.request(_spec(secret)) for secret in (1, 2, 3))
@@ -98,7 +98,7 @@ class TestSingleFlight:
 
         async def body():
             engine = Engine(store=MemoryStore())
-            service = AnalysisService(engine, ServiceConfig(batch_window=0.02))
+            service = AnalysisService(engine, ServiceConfig())
             await service.start(listen=False)
             tasks = [
                 asyncio.get_running_loop().create_task(service.request(_spec()))
@@ -117,10 +117,46 @@ class TestSingleFlight:
         assert all(out["ok"] for out in survivors)
         assert runs.get("exploit") == 1  # the shared compute still ran once
 
+    def test_specs_arriving_mid_batch_form_the_next_batch(self):
+        """The dispatcher never waits to batch: the first spec dispatches
+        alone, and distinct specs admitted while it computes go together."""
+        started, release = threading.Event(), threading.Event()
+        batches = []
+
+        async def body():
+            engine = Engine(store=MemoryStore())
+            service = AnalysisService(engine, ServiceConfig())
+            iter_grid = engine.iter_grid
+
+            def gated(grid, parallel=None):
+                batches.append([spec.params["secret"] for spec in grid.specs()])
+                started.set()
+                release.wait(timeout=30)
+                return iter_grid(grid, parallel=parallel)
+
+            engine.iter_grid = gated
+            await service.start(listen=False)
+            loop = asyncio.get_running_loop()
+            first = loop.create_task(service.request(_spec(1)))
+            assert await loop.run_in_executor(None, started.wait, 30)
+            later = [
+                loop.create_task(service.request(_spec(secret)))
+                for secret in (2, 3, 4)
+            ]
+            await asyncio.sleep(0)  # every admission lands mid-batch
+            release.set()
+            envelopes = await asyncio.gather(first, *later)
+            await service.drain()
+            return envelopes
+
+        envelopes = asyncio.run(body())
+        assert [e["hit"] for e in envelopes] == ["computed"] * 4
+        assert batches == [[1], [2, 3, 4]]
+
     def test_repeat_of_completed_spec_is_a_store_hit(self):
         async def body():
             engine = Engine(store=MemoryStore())
-            service = AnalysisService(engine, ServiceConfig(batch_window=0.0))
+            service = AnalysisService(engine, ServiceConfig())
             await service.start(listen=False)
             first = await service.request(_spec())
             second = await service.request(_spec())
@@ -186,7 +222,7 @@ class TestAdmission:
 
         async def body():
             engine = Engine(store=MemoryStore())
-            service = AnalysisService(engine, ServiceConfig(batch_window=0.01))
+            service = AnalysisService(engine, ServiceConfig())
             await service.start(listen=False)
 
             def boom(grid, parallel=None):

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.exploits import programs
 from repro.exploits.programs import (
     SECRET_ADDR,
@@ -18,12 +16,11 @@ from repro.uarch.timing import TimingModel
 from repro.uarch.timing.validate import timed_exploit
 
 
-def spectre_v1_victim_run(config=None, scheduler="event"):
+def spectre_v1_victim_run(config=None):
     """Drive the Listing-1 attack by hand and return the victim run's result."""
     cpu = TimingCPU(
         programs.spectre_v1_program(),
         config if config is not None else UarchConfig(),
-        scheduler=scheduler,
     )
     cpu.write_memory(SECRET_ADDR, 0x5A, 1)
     cpu.write_memory(VICTIM_SIZE_ADDR, VICTIM_ARRAY_LEN, 8)
@@ -37,10 +34,6 @@ def spectre_v1_victim_run(config=None, scheduler="event"):
 
 
 class TestTimingCPU:
-    def test_unknown_scheduler_is_rejected(self):
-        with pytest.raises(ValueError):
-            TimingCPU(programs.spectre_v1_program(), scheduler="magic")
-
     def test_training_runs_open_no_window(self):
         cpu = TimingCPU(programs.spectre_v1_program())
         cpu.write_memory(VICTIM_SIZE_ADDR, VICTIM_ARRAY_LEN, 8)
@@ -82,18 +75,6 @@ class TestTimingCPU:
         assert trace.windows[0].transmit_cycle is None
         assert not result.transmit_beats_squash
         assert not result.leaked_transiently
-
-    def test_rescan_scheduler_produces_identical_trace(self):
-        _, event_result = spectre_v1_victim_run(scheduler="event")
-        _, rescan_result = spectre_v1_victim_run(scheduler="rescan")
-        assert rescan_result.trace.scheduler == "rescan"
-        event_rows = [row.to_dict() for row in event_result.trace.ops]
-        rescan_rows = [row.to_dict() for row in rescan_result.trace.ops]
-        assert event_rows == rescan_rows
-        assert (
-            event_result.trace.windows[0].to_dict()
-            == rescan_result.trace.windows[0].to_dict()
-        )
 
     def test_meltdown_fault_window(self):
         result = timed_exploit("meltdown")

@@ -1,8 +1,9 @@
-"""Tests for the OoO timing schedulers (event-driven vs rescan baseline).
+"""Tests for the OoO timing scheduler (event-driven vs the rescan reference).
 
-The contention sections pin the PR-4 specification: per-kind functional-unit
+The contention sections pin the specification: per-kind functional-unit
 ports and a width-limited common data bus with deterministic oldest-first
-arbitration, implemented independently in both schedulers.  The unbounded
+arbitration, implemented independently by the event scheduler and by
+:class:`~rescan_reference.ReferenceRescanScheduler`.  The unbounded
 configuration must reproduce the pre-contention schedules byte-for-byte
 (property-tested below), so existing traces cannot regress.
 """
@@ -14,14 +15,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rescan_reference import ReferenceRescanScheduler
+
 from repro.exploits.harness import EXPLOITS
+from repro.isa.instructions import Alu, Halt, Load, Mov
+from repro.isa.operands import imm, mem, reg
+from repro.isa.program import Program
 from repro.uarch.timing import (
     CONTENDED_MODEL,
     DEFAULT_MODEL,
     SERIALIZED_MODEL,
     DynamicOp,
     EventScheduler,
-    RescanScheduler,
     TimingCPU,
     TimingModel,
     WindowRecord,
@@ -173,7 +178,7 @@ class TestWindowTiming:
 
 
 # ---------------------------------------------------------------------------
-# Differential testing: the event engine must equal the rescan baseline
+# Differential testing: the event engine must equal the rescan reference
 # ---------------------------------------------------------------------------
 REGS = ["a", "b", "c", "d", "e", "FLAGS"]
 
@@ -220,7 +225,8 @@ def test_event_equals_rescan_on_random_streams(seed):
         rob_size=rng.randint(4, 48),
         rs_entries=rng.randint(2, 32),
     )
-    assert EventScheduler(model).schedule(ops) == RescanScheduler(model).schedule(ops)
+    reference = ReferenceRescanScheduler(model).schedule(ops)
+    assert EventScheduler(model).schedule(ops) == reference
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,7 +242,7 @@ def test_event_equals_rescan_property(seed, length, width, rob, rs):
     ops = random_stream(rng, length)
     model = TimingModel(dispatch_width=width, commit_width=width, rob_size=rob, rs_entries=rs)
     event = EventScheduler(model).schedule(ops)
-    rescan = RescanScheduler(model).schedule(ops)
+    rescan = ReferenceRescanScheduler(model).schedule(ops)
     assert event == rescan
     assert event.cycles == rescan.cycles
 
@@ -284,7 +290,7 @@ ONE_ALU_PORT = TimingModel(
 
 
 class TestPortContention:
-    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, RescanScheduler])
+    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, ReferenceRescanScheduler])
     def test_single_alu_port_serializes_independent_ops(self, scheduler_cls):
         ops = [op(0, writes=["a"]), op(1, writes=["b"]), op(2, writes=["c"])]
         schedule = scheduler_cls(ONE_ALU_PORT).schedule(ops)
@@ -294,7 +300,7 @@ class TestPortContention:
         assert schedule.issue == [1, 2, 3]
         assert schedule.complete == [2, 3, 4]
 
-    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, RescanScheduler])
+    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, ReferenceRescanScheduler])
     def test_other_pools_do_not_contend_for_the_alu_port(self, scheduler_cls):
         ops = [
             op(0, writes=["a"]),
@@ -304,14 +310,14 @@ class TestPortContention:
         schedule = scheduler_cls(ONE_ALU_PORT).schedule(ops)
         assert schedule.issue == [1, 1, 1]  # load and mul pools are unbounded
 
-    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, RescanScheduler])
+    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, ReferenceRescanScheduler])
     def test_port_held_for_the_whole_execution(self, scheduler_cls):
         # Units are not pipelined: a long op blocks the pool until broadcast.
         ops = [op(0, writes=["a"], latency=10), op(1, writes=["b"])]
         schedule = scheduler_cls(ONE_ALU_PORT).schedule(ops)
         assert schedule.issue[1] == schedule.complete[0]
 
-    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, RescanScheduler])
+    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, ReferenceRescanScheduler])
     def test_fences_and_nops_need_no_port(self, scheduler_cls):
         model = TimingModel(
             dispatch_width=8, commit_width=8, rob_size=64, rs_entries=64,
@@ -321,7 +327,7 @@ class TestPortContention:
         schedule = scheduler_cls(model).schedule(ops)
         assert schedule.issue == [1, 1, 1]  # no serialization
 
-    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, RescanScheduler])
+    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, ReferenceRescanScheduler])
     def test_cdb_width_limits_broadcasts_per_cycle(self, scheduler_cls):
         model = TimingModel(
             dispatch_width=8, commit_width=8, rob_size=64, rs_entries=64,
@@ -334,7 +340,7 @@ class TestPortContention:
         assert schedule.issue == [1, 1, 1]
         assert schedule.complete == [2, 3, 4]
 
-    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, RescanScheduler])
+    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, ReferenceRescanScheduler])
     def test_cdb_loser_keeps_port_until_broadcast(self, scheduler_cls):
         model = TimingModel(
             dispatch_width=8, commit_width=8, rob_size=64, rs_entries=64,
@@ -391,7 +397,7 @@ class TestWorkedExample:
         op(5, writes=["f"]),
     ])
 
-    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, RescanScheduler])
+    @pytest.mark.parametrize("scheduler_cls", [EventScheduler, ReferenceRescanScheduler])
     def test_hand_computed_schedule(self, scheduler_cls):
         schedule = scheduler_cls(self.MODEL).schedule(self.OPS())
         assert schedule.dispatch == [0, 0, 0, 0, 1, 1]
@@ -461,18 +467,20 @@ def test_huge_finite_limits_match_unbounded(seed):
     )
     assert huge.contended
     assert EventScheduler(huge).schedule(ops) == EventScheduler(base).schedule(ops)
-    assert RescanScheduler(huge).schedule(ops) == RescanScheduler(base).schedule(ops)
+    reference = ReferenceRescanScheduler(base).schedule(ops)
+    assert ReferenceRescanScheduler(huge).schedule(ops) == reference
 
 
 # ---------------------------------------------------------------------------
-# Contention: event engine == rescan oracle (differential)
+# Contention: event engine == rescan reference (differential)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(20))
 def test_event_equals_rescan_under_contention(seed):
     rng = random.Random(seed)
     ops = random_stream(rng, rng.randint(1, 60))
     model = random_contended_model(rng)
-    assert EventScheduler(model).schedule(ops) == RescanScheduler(model).schedule(ops)
+    reference = ReferenceRescanScheduler(model).schedule(ops)
+    assert EventScheduler(model).schedule(ops) == reference
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,7 +493,7 @@ def test_event_equals_rescan_under_contention_property(seed, length):
     ops = random_stream(rng, length)
     model = random_contended_model(rng)
     event = EventScheduler(model).schedule(ops)
-    rescan = RescanScheduler(model).schedule(ops)
+    rescan = ReferenceRescanScheduler(model).schedule(ops)
     assert event == rescan
     assert event.cycles == rescan.cycles
 
@@ -511,5 +519,41 @@ def test_event_equals_rescan_on_exploit_corpus(name, model):
     for ops in streams:
         assert (
             EventScheduler(model).schedule(ops)
-            == RescanScheduler(model).schedule(ops)
+            == ReferenceRescanScheduler(model).schedule(ops)
         )
+
+
+def serialized_miss_program(instructions: int, load_every: int = 7) -> Program:
+    """A straight-line program of ``instructions`` ops with serialized misses.
+
+    Every ``load_every``-th instruction starts a load whose address depends
+    on the previous load's value, so the miss chain serializes (~200 cycles
+    per link) and the schedule stretches to thousands of mostly idle cycles:
+    the stretches the event queue skips and the rescan walks cycle by cycle.
+    """
+    program = Program(name=f"timing-{instructions}i")
+    program.declare("workload", 0x0200_0000, 1 << 23)
+    program.append(Mov(reg("rbx"), imm(0)))
+    while len(program) < instructions - 1:
+        if len(program) % load_every == 0:
+            # rax <- mem[workload + rbx] (miss: a fresh page each time), then
+            # rbx <- rbx + rax + 4096: the next load depends on this one.
+            program.append(Load(reg("rax"), mem(base="rbx", symbol="workload")))
+            program.append(Alu("add", reg("rax"), imm(4096)))
+            program.append(Alu("add", reg("rbx"), reg("rax")))
+        else:
+            program.append(Alu("xor", reg("rcx"), imm(len(program) & 0xFF)))
+    program.append(Halt())
+    return program
+
+
+@pytest.mark.parametrize(
+    "model", [DEFAULT_MODEL, CONTENDED_MODEL], ids=["default", "contended"]
+)
+def test_event_equals_rescan_on_serialized_misses(model):
+    cpu = TimingCPU(serialized_miss_program(200))
+    cpu.run()
+    ops = cpu.last_ops
+    schedule = EventScheduler(model).schedule(ops)
+    assert schedule.cycles > 1000  # mostly idle cycles between the misses
+    assert schedule == ReferenceRescanScheduler(model).schedule(ops)
