@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import pytest
 
+from rescan_reference import ReferenceRescanScheduler
+
 from repro.channels import ContentionChannel, PortContentionSurface
 from repro.channels.contention import WIDE_WINDOW_MODEL
 from repro.uarch.timing import TimingModel
@@ -56,6 +58,13 @@ class TestPortContentionSurface:
         model = replace(WIDE_WINDOW_MODEL, **{f"{pool}_ports": 1})
         surface = PortContentionSurface(model, pool=pool)
         assert surface.occupancy_delta(3) == 3 * surface.op_latency
+
+    def test_event_and_rescan_surfaces_measure_identically(self):
+        event = PortContentionSurface()
+        rescan = PortContentionSurface()
+        rescan._scheduler = ReferenceRescanScheduler(rescan.model)
+        for senders in range(6):
+            assert event.probe(senders, 4) == rescan.probe(senders, 4)
 
     def test_unknown_pool_and_empty_probe_are_rejected(self):
         with pytest.raises(ValueError):

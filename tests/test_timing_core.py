@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+from rescan_reference import ReferenceRescanScheduler
+
 from repro.exploits import programs
 from repro.exploits.programs import (
     SECRET_ADDR,
@@ -13,6 +15,7 @@ from repro.exploits.programs import (
 )
 from repro.uarch import SimDefense, TimingCPU, UarchConfig
 from repro.uarch.timing import TimingModel
+from repro.uarch.timing import core as timing_core
 from repro.uarch.timing.validate import timed_exploit
 
 
@@ -75,6 +78,28 @@ class TestTimingCPU:
         assert trace.windows[0].transmit_cycle is None
         assert not result.transmit_beats_squash
         assert not result.leaked_transiently
+
+    def test_rescan_scheduler_produces_identical_trace(self, monkeypatch):
+        """The CPU's trace is unchanged when the per-cycle rescan reference
+        schedules the recorded ops in place of the event scheduler."""
+        _, event_result = spectre_v1_victim_run()
+        scheduled = []
+
+        class CountingReference(ReferenceRescanScheduler):
+            def schedule(self, ops):
+                scheduled.append(len(ops))
+                return super().schedule(ops)
+
+        monkeypatch.setattr(timing_core, "EventScheduler", CountingReference)
+        _, rescan_result = spectre_v1_victim_run()
+        assert scheduled  # the reference, not the event scheduler, ran
+        event_rows = [row.to_dict() for row in event_result.trace.ops]
+        rescan_rows = [row.to_dict() for row in rescan_result.trace.ops]
+        assert event_rows == rescan_rows
+        assert (
+            event_result.trace.windows[0].to_dict()
+            == rescan_result.trace.windows[0].to_dict()
+        )
 
     def test_meltdown_fault_window(self):
         result = timed_exploit("meltdown")
