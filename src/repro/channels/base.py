@@ -1,8 +1,11 @@
 """Covert channel abstractions and the timing surface they operate on.
 
 A cache covert channel needs three capabilities from the hardware it runs on:
-flush a line, touch (access) a line, and measure the access latency of a
-line.  Both the raw :class:`~repro.uarch.cache.SetAssociativeCache` (through
+flush a list of lines, touch (access) one line as the sender, and measure the
+access latency of each line in a list.  The receiver's two steps are bulk
+operations, one call per round whatever the probe array's size, in the shape
+of a request/response memory port.  Both the raw
+:class:`~repro.uarch.cache.SetAssociativeCache` (through
 :class:`CacheTimingSurface`) and the full
 :class:`~repro.uarch.pipeline.SpeculativeCPU` expose them, so every channel
 implementation works standalone in unit tests and end-to-end in the exploits.
@@ -12,20 +15,20 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Iterable, List, Optional, Protocol, runtime_checkable
 
 
 @runtime_checkable
 class TimingSurface(Protocol):
     """The minimal interface a covert channel needs."""
 
-    def flush_address(self, address: int) -> None:  # pragma: no cover - protocol
+    def flush_lines(self, addresses: Iterable[int]) -> None:  # pragma: no cover - protocol
         ...
 
     def touch(self, address: int) -> None:  # pragma: no cover - protocol
         ...
 
-    def probe(self, address: int) -> int:  # pragma: no cover - protocol
+    def probe_lines(self, addresses: Iterable[int]) -> List[int]:  # pragma: no cover - protocol
         ...
 
 
@@ -47,16 +50,14 @@ class CacheTimingSurface:
         self.sender_partition = sender_partition
         self.receiver_partition = receiver_partition
 
-    def flush_address(self, address: int) -> None:
-        self.cache.flush_address(address)
+    def flush_lines(self, addresses: Iterable[int]) -> None:
+        self.cache.flush_lines(addresses)
 
     def touch(self, address: int) -> None:
         self.cache.access(address, partition=self.sender_partition)
 
-    def probe(self, address: int) -> int:
-        return self.cache.access(
-            address, partition=self.receiver_partition, fill=False
-        ).latency
+    def probe_lines(self, addresses: Iterable[int]) -> List[int]:
+        return self.cache.probe_lines(addresses, self.receiver_partition)
 
 
 @dataclass

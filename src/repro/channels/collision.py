@@ -9,7 +9,7 @@ value -- the victim used.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable
 
 from ..uarch.cache import SetAssociativeCache
 from .base import ChannelObservation

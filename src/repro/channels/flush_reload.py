@@ -8,13 +8,18 @@ This is the default covert channel of the paper's speculative attacks.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Set
 
 from .base import ChannelObservation, CovertChannel, TimingSurface
 
 
 class FlushReloadChannel(CovertChannel):
-    """Flush+Reload over a shared probe array of ``entries`` page-strided lines."""
+    """Flush+Reload over a shared probe array of ``entries`` page-strided lines.
+
+    One round is two bulk surface calls: :meth:`prepare` flushes the whole
+    array with one ``flush_lines`` and :meth:`measure` reloads it with one
+    ``probe_lines``; only the sender's :meth:`send` touches a single line.
+    """
 
     def __init__(
         self,
@@ -38,10 +43,15 @@ class FlushReloadChannel(CovertChannel):
             raise ValueError(f"value {value} out of range [0, {self.entries})")
         return self.probe_base + value * self.stride
 
+    def entry_addresses(self) -> range:
+        """The probe-array addresses of values ``0 .. entries-1``, in order."""
+        return range(
+            self.probe_base, self.probe_base + self.entries * self.stride, self.stride
+        )
+
     def prepare(self) -> None:
         """Flush every probe entry (the channel's initial 'absent' state)."""
-        for value in range(self.entries):
-            self.surface.flush_address(self.entry_address(value))
+        self.surface.flush_lines(self.entry_addresses())
 
     def send(self, value: int) -> None:
         """Sender touches the entry indexed by the secret value."""
@@ -49,7 +59,7 @@ class FlushReloadChannel(CovertChannel):
 
     def measure(self) -> List[int]:
         """Reload every entry and return the measured latencies."""
-        return [self.surface.probe(self.entry_address(value)) for value in range(self.entries)]
+        return self.surface.probe_lines(self.entry_addresses())
 
     def receive(self, exclude: Iterable[int] = ()) -> ChannelObservation:
         """Reload the array; the fastest entry below the threshold is the value.
@@ -63,7 +73,7 @@ class FlushReloadChannel(CovertChannel):
         candidates = [value for value in range(self.entries) if value not in excluded]
         if not candidates:
             return ChannelObservation(value=None, latencies=latencies)
-        best_value = min(candidates, key=lambda value: latencies[value])
+        best_value = min(candidates, key=latencies.__getitem__)
         if latencies[best_value] >= self.hit_threshold:
             return ChannelObservation(value=None, latencies=latencies)
         return ChannelObservation(value=best_value, latencies=latencies)

@@ -9,8 +9,6 @@ memory between sender and receiver.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..uarch.cache import SetAssociativeCache
 from .base import ChannelObservation, CovertChannel
 
@@ -65,21 +63,23 @@ class PrimeProbeChannel(CovertChannel):
         """Sender touches a line in the set encoding ``value``, evicting the attacker."""
         self.cache.access(self._victim_address(value), partition=self.sender_partition)
 
-    def probe_set(self, set_index: int) -> int:
-        """Total latency of re-accessing the attacker's lines of one set."""
-        total = 0
-        for way in range(self.cache.ways):
-            total += self.cache.access(
-                self._attacker_address(set_index, way),
-                partition=self.receiver_partition,
-                fill=False,
-            ).latency
-        return total
-
     def receive(self) -> ChannelObservation:
-        """Probe every set; the slowest set is where the sender evicted a line."""
-        latencies = [self.probe_set(set_index) for set_index in range(self.cache.sets)]
-        best_set = max(range(self.cache.sets), key=lambda index: latencies[index])
+        """Probe every set; the slowest set is where the sender evicted a line.
+
+        One non-filling ``probe_lines`` pass re-accesses the attacker's lines
+        set by set; a set's latency is the sum over its ways.
+        """
+        sets, ways = self.cache.sets, self.cache.ways
+        probed = self.cache.probe_lines(
+            (
+                self._attacker_address(set_index, way)
+                for set_index in range(sets)
+                for way in range(ways)
+            ),
+            self.receiver_partition,
+        )
+        latencies = [sum(probed[at : at + ways]) for at in range(0, sets * ways, ways)]
+        best_set = max(range(sets), key=latencies.__getitem__)
         baseline = min(latencies)
         if latencies[best_set] <= baseline:
             return ChannelObservation(value=None, latencies=latencies)

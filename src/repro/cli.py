@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence
 from . import analysis, build_info
 from .analysis.report import full_report, render_result, service_response_summary
 from .attacks import ALL_VARIANTS, get as get_attack
-from .defenses import ALL_DEFENSES, get as get_defense
+from .defenses import get as get_defense
 from .engine import Engine, FailurePolicy, default_engine, halt_default_engine
 from .exploits import EXPLOITS
 from .faults import apply_store_faults, load_fault_plan

@@ -15,12 +15,12 @@ attack-specific questions the paper asks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .edges import DependencyKind
 from .nodes import AttackPart, AttackStep, ExecutionLevel, Operation, OperationType
-from .race import Race, find_races, has_race
+from .race import Race, find_races
 from .security_dependency import (
     ProtectionPoint,
     SecurityDependency,

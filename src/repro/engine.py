@@ -75,6 +75,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
     Union,
@@ -898,23 +899,37 @@ class Engine:
         """
         if isinstance(spec, ScenarioGrid):
             return self.run_grid(spec, parallel=parallel)
+        return self._run_traced(spec, parallel, probe=True)
+
+    def _run_traced(
+        self, spec: ScenarioSpec, parallel: Optional[int], *, probe: bool
+    ) -> Result:
+        """:meth:`run` for one spec, inside its ``engine.run`` span when traced."""
         tracer = self._active_tracer()
         if tracer is None:
-            return self._run_spec(spec, parallel, None)
+            return self._run_spec(spec, parallel, None, probe)
         with tracer.span("engine.run", kind=spec.kind) as span:
-            result = self._run_spec(spec, parallel, tracer)
+            result = self._run_spec(spec, parallel, tracer, probe)
             span.set(cache=result.cache)
             return result
 
     def _run_spec(
-        self, spec: ScenarioSpec, parallel: Optional[int], tracer: Optional[Tracer]
+        self,
+        spec: ScenarioSpec,
+        parallel: Optional[int],
+        tracer: Optional[Tracer],
+        probe: bool,
     ) -> Result:
-        """The untraced :meth:`run` body; ``tracer`` adds the store-put span."""
+        """The untraced :meth:`run` body; ``tracer`` adds the store-put span.
+
+        ``probe=False`` skips the warm-store lookup, for a caller that has
+        just seen the spec miss the store itself.
+        """
         executor = getattr(self, f"_run_{spec.kind}")
         key = spec.content_hash()
         if self.store is not None:
             aliased = getattr(self.store, "aliases_values", True)
-            cached = self.store.get(key)
+            cached = self.store.get(key) if probe else None
             if isinstance(cached, Result):
                 return _warm_envelope(cached, aliased)
         if self.faults is not None:
@@ -971,8 +986,11 @@ class Engine:
         self._runs_total.inc(len(specs), kind="grid")
         aliased = getattr(self.store, "aliases_values", True)
         misses: List[int] = []
+        # The first point of each spec that missed the store, by content hash.
+        first_misses: Dict[str, int] = {}
         for index, spec in enumerate(specs):
-            cached = None if self.store is None else self.store.get(spec.content_hash())
+            key = None if self.store is None else spec.content_hash()
+            cached = None if key is None else self.store.get(key)
             if isinstance(cached, Result):
                 self._grid_event("resumed")
                 yield GridPoint(
@@ -980,18 +998,30 @@ class Engine:
                 )
             else:
                 misses.append(index)
+                if key is not None:
+                    first_misses.setdefault(key, index)
         if not misses:
             return
         rng = random.Random(self.policy.seed) if self.policy is not None else None
         workers = self._workers(parallel)
         pool = self._try_pool(workers) if workers > 1 and len(misses) > 1 else None
+        # A first miss computes without probing the store a second time.  The
+        # points a broken pool hands back are probed again: a killed worker
+        # may have persisted some of them.
+        unprobed: Set[int] = set()
         if pool is not None and _picklable((self.faults, [specs[i] for i in misses])):
             misses = yield from self._iter_chunks(specs, misses, workers, rng)
+        else:
+            unprobed = set(first_misses.values())
         for index in misses:
-            # run() handles the per-point store bookkeeping itself.
+            # run() handles the per-point store bookkeeping itself; a copy of
+            # a spec computed earlier in this loop is served warm by it.
             spec = specs[index]
             try:
-                result = self.run(spec)
+                if index in unprobed:
+                    result = self._run_traced(spec, None, probe=False)
+                else:
+                    result = self.run(spec)
             except Exception as exc:
                 if self.policy is None:
                     raise
@@ -1978,7 +2008,7 @@ class Engine:
             "instructions": case.size,
             "bucket": case.shape.bucket,
             "inject": inject,
-            "leaked_secret": verdict.recovered == planted,
+            "leaked_secret": verdict.leaked,
         }
         data.update(case.shape.to_dict())
         data.update(verdict.to_dict())

@@ -1,20 +1,22 @@
-"""Seeded gadget-program generator and the dual-oracle differential harness.
+"""Seeded gadget-program generator and the three-oracle differential harness.
 
 The fuzzing plane synthesizes transient-execution gadgets by composing four
 independent axes -- the speculation *source*, a dependent-ALU *delay* chain
 inside the transient window, the covert-channel *shape* forming the probe
 index, and the *fence* placement (the defense) -- into valid tiny-ISA
-:class:`~repro.isa.program.Program`s, then asks both of the repo's oracles
-the paper's one question about each program:
+:class:`~repro.isa.program.Program`s, then asks three oracles the paper's
+one question about each program:
 
 * the **TSG verdict** -- :func:`repro.defenses.evaluation.attack_succeeds`
   on the program's attack graph (Theorem 1: some covert send races the
-  authorization's resolution), and
-* the **measured verdict** -- the program replayed end-to-end on
+  authorization's resolution);
+* the **measured race** -- the program replayed end-to-end on
   :class:`~repro.uarch.timing.core.TimingCPU`, reporting whether the covert
-  transmit issued at or before the squash cycle.
+  transmit issued at or before the squash cycle; and
+* the **decoded byte** -- whether the same replay's Flush+Reload receive
+  recovers exactly the planted secret.
 
-Theorem 1 says the two verdicts must agree on every generated program; a
+Theorem 1 says the three must agree on every generated program; a
 disagreement is a soundness bug in one of the planes and gets shrunk to a
 minimal reproducer by :func:`shrink_case`.
 
@@ -150,7 +152,7 @@ class FuzzCase:
 
 @dataclass(frozen=True)
 class FuzzVerdict:
-    """Both oracles' answers for one case."""
+    """The three oracles' answers for one case."""
 
     tsg_leaks: bool
     transmit_beats_squash: bool
@@ -158,10 +160,18 @@ class FuzzVerdict:
     squash_cycle: Optional[int]
     window_cycles: Optional[int]
     recovered: Optional[int]
+    #: The byte the harness planted (not part of :meth:`to_dict`).
+    secret: int
+
+    @property
+    def leaked(self) -> bool:
+        """The covert channel decoded exactly the planted byte."""
+        return self.recovered == self.secret
 
     @property
     def agrees(self) -> bool:
-        return self.tsg_leaks == self.transmit_beats_squash
+        """The TSG verdict, the measured race and the decoded byte all agree."""
+        return self.tsg_leaks == self.transmit_beats_squash == self.leaked
 
     def to_dict(self) -> dict:
         return {
@@ -353,7 +363,7 @@ def dual_verdict(
     engine=None,
     model=None,
 ) -> FuzzVerdict:
-    """Ask both oracles about one case.
+    """Ask all three oracles about one case.
 
     ``engine`` reuses the session's content-addressed graph-build cache for
     the TSG side; without one the graph is built directly.  ``inject``
@@ -385,6 +395,7 @@ def dual_verdict(
         squash_cycle=getattr(trace, "squash_cycle", None),
         window_cycles=getattr(trace, "window_cycles", None),
         recovered=recovered,
+        secret=secret,
     )
 
 

@@ -33,7 +33,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 
 def _new_id() -> str:

@@ -48,7 +48,6 @@ from ..obs.trace import Span, TraceContext, Tracer
 from ..scenario import ScenarioGrid, ScenarioSpec
 from ..store import store_label
 from .protocol import (
-    BadRequest,
     ExecutionFailed,
     MethodNotAllowed,
     NotFound,

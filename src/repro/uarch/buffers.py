@@ -9,7 +9,7 @@ whose delayed address resolution Spectre v4 exploits.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 

@@ -10,8 +10,9 @@ CleanupSpec-style rollback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass
@@ -154,24 +155,63 @@ class SetAssociativeCache:
         """Bring a line into the cache without reporting timing (warm-up helper)."""
         self.access(address, partition=partition)
 
+    def probe_lines(self, addresses: Iterable[int], partition: int = 0) -> List[int]:
+        """The latency of a non-filling :meth:`access` to each address, in order.
+
+        The bulk receive path of the covert channels: the clock ticks once
+        per address, a hit refreshes the line's LRU stamp and a miss fills
+        nothing, exactly as ``access(address, partition, fill=False)`` would,
+        but without a :class:`CacheAccess` or a method call per address.
+        """
+        line_size, sets, lines = self.line_size, self.sets, self._lines
+        hit_latency, miss_latency = self.hit_latency, self.miss_latency
+        clock = self._clock
+        hits = 0
+        latencies: List[int] = []
+        for address in addresses:
+            clock += 1
+            line_number = address // line_size
+            tag = line_number // sets
+            for line in lines[line_number % sets]:
+                if line.tag == tag and line.partition == partition:
+                    line.last_used = clock
+                    hits += 1
+                    latencies.append(hit_latency)
+                    break
+            else:
+                latencies.append(miss_latency)
+        self._clock = clock
+        self.stats.hits += hits
+        self.stats.misses += len(latencies) - hits
+        return latencies
+
     # ------------------------------------------------------------------
     # Flushing and rollback
     # ------------------------------------------------------------------
+    def flush_lines(self, addresses: Iterable[int]) -> None:
+        """Evict the line of each address from every partition (one clflush each).
+
+        Every address counts one flush; each touched set is filtered once.
+        """
+        line_size, sets = self.line_size, self.sets
+        doomed: Dict[int, Set[int]] = defaultdict(set)
+        count = 0
+        for address in addresses:
+            line_number = address // line_size
+            doomed[line_number % sets].add(line_number // sets)
+            count += 1
+        self.stats.flushes += count
+        lines = self._lines
+        for set_index, tags in doomed.items():
+            lines[set_index] = [line for line in lines[set_index] if line.tag not in tags]
+
     def flush_address(self, address: int) -> None:
         """Evict the line containing ``address`` from every partition (clflush)."""
-        self.stats.flushes += 1
-        target_tag = self.tag(address)
-        set_lines = self._lines[self.set_index(address)]
-        self._lines[self.set_index(address)] = [
-            line for line in set_lines if line.tag != target_tag
-        ]
+        self.flush_lines((address,))
 
     def flush_range(self, start: int, size: int) -> None:
         """Flush every line overlapping ``[start, start+size)``."""
-        address = self.line_address(start)
-        while address < start + size:
-            self.flush_address(address)
-            address += self.line_size
+        self.flush_lines(range(self.line_address(start), start + size, self.line_size))
 
     def flush_all(self) -> None:
         self.stats.flushes += 1

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Iterable
+from dataclasses import dataclass, replace
+from typing import FrozenSet
 
 from .defenses import SimDefense
 

@@ -24,7 +24,7 @@ micro-architectural behaviours the speculative execution attacks rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..isa.instructions import (
     Alu,
@@ -48,12 +48,12 @@ from ..isa.instructions import (
     Store,
 )
 from ..isa.operands import FLAGS, Immediate, Label, MemoryOperand, Register
-from ..isa.program import DataSymbol, Program
+from ..isa.program import Program
 from .buffers import LineFillBuffer, LoadPort, StoreBuffer, StoreBufferEntry
 from .cache import SetAssociativeCache
 from .config import DEFAULT_CONFIG, UarchConfig
 from .defenses import SimDefense
-from .memory import Fault, MemorySystem, PAGE_SIZE
+from .memory import Fault, MemorySystem
 from .predictor import PredictorSuite
 from .registers import MASK64, Flags, FPUState, RegisterFile, SpecialRegisters
 from .stats import SimStats
@@ -154,8 +154,9 @@ class SpeculativeCPU:
     def get_register(self, name: str) -> int:
         return self.registers.read(name)
 
-    def flush_address(self, address: int) -> None:
-        self.cache.flush_address(address)
+    def flush_lines(self, addresses: Iterable[int]) -> None:
+        """Flush each address's line from every partition (the receiver's clflush)."""
+        self.cache.flush_lines(addresses)
 
     def flush_range(self, start: int, size: int) -> None:
         self.cache.flush_range(start, size)
@@ -184,16 +185,14 @@ class SpeculativeCPU:
             return self.RECEIVER_PARTITION
         return self.VICTIM_PARTITION
 
-    def probe(self, address: int, *, fill: bool = False) -> int:
-        """Timed probe access used by the receiver (Flush+Reload / Prime+Probe).
+    def probe_lines(self, addresses: Iterable[int]) -> List[int]:
+        """Timed probes of the receiver (Flush+Reload), one latency per address.
 
-        Probes default to non-allocating accesses so that probing one entry
-        of the 256-entry probe array does not evict the entry the victim
-        touched -- the timing information is the same either way.
+        Probes are non-allocating, so reloading one entry of the 256-entry
+        probe array does not evict the entry the victim touched -- the timing
+        information is the same either way.
         """
-        return self.cache.access(
-            address, partition=self.receiver_partition, fill=fill
-        ).latency
+        return self.cache.probe_lines(addresses, self.receiver_partition)
 
     def context_switch(self, new_context: int, *, supervisor: Optional[bool] = None) -> None:
         """Switch context; with the predictor-flush defense this clears predictors."""

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from ..isa.operands import ALL_REGISTERS, FLAGS, FP_REGISTERS, GP_REGISTERS
+from ..isa.operands import ALL_REGISTERS, FP_REGISTERS
 
 MASK64 = (1 << 64) - 1
 

@@ -236,6 +236,24 @@ class TestStreamingCheckpoints:
         assert summary["resumed"] == 4
         assert store.stats()["misses"] == 0
 
+    def test_serial_grid_probes_the_store_once_per_computed_point(self, tmp_path):
+        store = DiskStore(root=tmp_path, version="t")
+        with Engine(store=store) as engine:
+            engine.run_grid(_simulate_grid(range(5)))
+        assert (store.stats()["misses"], store.stats()["puts"]) == (5, 5)
+        # A copy of a point computed earlier in the same grid is served warm.
+        twin = ScenarioSpec("simulate", attack="spectre_v1", secret=9)
+        copies = DiskStore(root=tmp_path, version="copies")
+        with Engine(store=copies) as engine:
+            rows = engine.run_grid(ScenarioGrid.explicit([twin, twin])).payload
+        assert [row.cache for row in rows] == ["cold", "warm"]
+        stats = copies.stats()
+        assert (stats["misses"], stats["hits"], stats["puts"]) == (2, 1, 1)
+        resumed = DiskStore(root=tmp_path, version="t")
+        with Engine(store=resumed) as engine:
+            engine.run_grid(_simulate_grid(range(5)))
+        assert resumed.stats()["misses"] == 0
+
     def test_partial_checkpoints_resume_only_missing_points(self, tmp_path):
         grid = _simulate_grid(range(6))
         specs = grid.specs()

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from repro.fuzz.generator import (
     make_shape,
     shrink_case,
 )
+from repro.uarch.timing.scheduler import CONTENDED_MODEL, SERIALIZED_MODEL
 
 pytestmark = pytest.mark.fuzz
 
@@ -128,14 +130,40 @@ class TestShapeSpace:
 
 class TestDualOracleAgreement:
     def test_sampled_campaign_slice_agrees_everywhere(self):
-        leaks = 0
-        for case in iter_cases(0, 24):
-            verdict = dual_verdict(case)
-            assert verdict.agrees, case.shape.describe()
-            if verdict.tsg_leaks:
-                leaks += 1
-                assert verdict.recovered == FUZZ_SECRET
-        assert leaks > 0  # the slice exercises both verdicts
+        # Theorem 1 over the whole finite shape space: all 150 shapes under
+        # each timing model, with the TSG verdict, the measured race and
+        # the decoded byte agreeing on every one.
+        cases = [
+            case_from_shape(0, index, shape)
+            for index, shape in enumerate(
+                GadgetShape(source, delay, channel, fence)
+                for source in SOURCES
+                for delay in range(MAX_DELAY + 1)
+                for channel in CHANNELS
+                for fence in FENCES
+            )
+        ]
+        assert len(cases) == 150
+        models = {
+            "default": None,
+            "contended": CONTENDED_MODEL,
+            "serialized": SERIALIZED_MODEL,
+        }
+        for name, model in models.items():
+            leaks = 0
+            for case in cases:
+                verdict = dual_verdict(case, model=model)
+                decoded = verdict.recovered == FUZZ_SECRET
+                assert verdict.tsg_leaks == verdict.transmit_beats_squash == decoded, (
+                    name, case.shape.describe(), verdict.to_dict()
+                )
+                assert verdict.agrees
+                leaks += decoded
+                if decoded:
+                    # The byte is an oracle of its own: a won race whose
+                    # byte did not decode is a disagreement.
+                    assert not replace(verdict, recovered=None).agrees
+            assert leaks == 75, name
 
     def test_fences_gate_the_leak_as_the_tsg_predicts(self):
         # The paper's Table-2 physics on generated gadgets: an lfence

@@ -313,4 +313,4 @@ class TestStoreBypassAndContextSwitch:
         cpu.run("victim")
         leaked_line = 0x1000000 + 0x66 * 4096
         assert cpu.cache.contains(leaked_line, partition=SpeculativeCPU.VICTIM_PARTITION)
-        assert cpu.probe(leaked_line) >= config.hit_threshold
+        assert cpu.probe_lines([leaked_line])[0] >= config.hit_threshold
