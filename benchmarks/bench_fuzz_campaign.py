@@ -1,12 +1,13 @@
-"""E22 -- The differential fuzzing campaign: dual-oracle throughput.
+"""E22 -- The differential fuzzing campaign: three-oracle throughput.
 
 Asserts the acceptance properties of ``repro.fuzz``: a seeded campaign
-pushes whole generated gadget programs through BOTH leak oracles (the
-TSG structural verdict and the cycle-accurate transmit/squash race) at
->= the ``fuzz_points_per_second_min`` floor, with *zero* oracle
-disagreements and zero quarantined points on a clean run -- the two
-oracles answering differently on any generated gadget is a soundness
-regression, not a perf one.  The same record lands in BENCH_core.json
+pushes whole generated gadget programs through all three leak oracles
+(the TSG structural verdict, the cycle-accurate transmit/squash race and
+the byte the covert channel decodes) at >= the
+``fuzz_points_per_second_min`` floor, with *zero* oracle disagreements
+and zero quarantined points on a clean run -- the oracles answering
+differently on any generated gadget is a soundness regression, not a
+perf one.  The same record lands in BENCH_core.json
 as the ``fuzz-throughput`` benchmark, enforced by ``repro perf --check``.
 """
 
@@ -21,7 +22,7 @@ from repro.perf import gate, measure_fuzz_throughput
 
 @pytest.mark.experiment("E22")
 def test_fuzz_campaign_meets_the_throughput_floor():
-    """The acceptance bar: programs/s through both oracles >= the floor,
+    """The acceptance bar: programs/s through three oracles >= the floor,
     disagreements pinned at zero."""
     record = measure_fuzz_throughput(count=96, repeats=2)
     print(

@@ -1,18 +1,20 @@
 #!/usr/bin/env python
 """Quickstart for the differential fuzzing plane: ``repro.fuzz``.
 
-The repo carries two independent leak oracles for the same question --
+The repo carries three independent leak oracles for the same question --
 "does this gadget leak?":
 
 * the **TSG oracle**: build the program's attack graph and check the
   structural leak criterion (missing security dependency on a transmitting
-  instruction inside the speculative window), and
+  instruction inside the speculative window),
 * the **timing oracle**: run the program on the cycle-accurate OoO core
-  and race the covert-channel transmission against the squash.
+  and race the covert-channel transmission against the squash, and
+* the **byte oracle**: whether the same run's Flush+Reload receive decodes
+  exactly the planted secret.
 
 ``repro.fuzz`` generates seeded gadget programs (speculation source x
 window delay x covert channel x fence placement) and pushes every one
-through *both* oracles.  Agreement on every generated program is the
+through *all three* oracles.  Agreement on every generated program is the
 fuzzed generalization of the paper's Theorem 1; a disagreement is a
 soundness bug in one of the planes, auto-shrunk to a minimal reproducer
 and pinned into a regression corpus.
@@ -35,7 +37,7 @@ import tempfile
 from repro.engine import Engine
 from repro.fuzz import FuzzCorpus, fixture_from_entry
 
-# -- 1. a clean campaign: both oracles agree on every generated program --
+# -- 1. a clean campaign: all three oracles agree on every program ------
 engine = Engine()
 result = engine.run_fuzz_campaign(seed=0, count=40)
 data = result.data
@@ -45,7 +47,7 @@ print(
     f"{data['agreed']} agreed / {data['disagreed']} disagreed "
     f"({data['points_per_second']:.0f} programs/s)"
 )
-assert result.ok, "the dual oracles disagreed on a clean campaign!"
+assert result.ok, "the oracles disagreed on a clean campaign!"
 
 # -- 2. break one oracle on purpose: the campaign catches it ------------
 broken = engine.run_fuzz_campaign(seed=0, count=40, inject="no_flush")

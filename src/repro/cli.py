@@ -459,7 +459,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    """``repro fuzz``: a seeded differential campaign over both oracles."""
+    """``repro fuzz``: a seeded differential campaign over the three oracles."""
     if args.count < 1:
         raise SystemExit("fuzz needs --count >= 1")
     try:
@@ -841,12 +841,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_parser = subparsers.add_parser(
         "fuzz",
-        help="seeded differential fuzzing over the TSG and timing oracles",
+        help="seeded differential fuzzing over the TSG, race and byte oracles",
         parents=[store_parent],
         description="Generate a seeded stream of speculation gadgets and run "
-                    "each through both leak oracles -- the TSG structural "
-                    "verdict and the cycle-accurate transmit/squash race -- "
-                    "checkpointing every point in the artifact store.  "
+                    "each through three leak oracles -- the TSG structural "
+                    "verdict, the cycle-accurate transmit/squash race and "
+                    "the byte the covert channel decodes -- checkpointing "
+                    "every point in the artifact store.  "
                     "Disagreements are auto-shrunk to minimal reproducers; "
                     "--corpus pins them as regression fixtures.",
     )

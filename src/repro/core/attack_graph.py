@@ -29,6 +29,16 @@ from .security_dependency import (
 from .tsg import TopologicalSortGraph
 
 
+def vulnerability_description(
+    authorization: str, protected: str, point: ProtectionPoint
+) -> str:
+    """The report line of one missing security dependency."""
+    return (
+        f"{protected!r} races with authorization {authorization!r} "
+        f"({point.value} before authorization is possible)"
+    )
+
+
 @dataclass(frozen=True)
 class Vulnerability:
     """A missing security dependency, reported as an exploitable vulnerability."""
@@ -165,21 +175,16 @@ class AttackGraph(TopologicalSortGraph):
         self, points: Optional[List[ProtectionPoint]] = None
     ) -> List[Vulnerability]:
         """Missing security dependencies, reported as vulnerabilities."""
-        vulnerabilities = []
-        for dependency in missing_security_dependencies(self, points=points):
-            race = Race(dependency.authorization, dependency.protected)
-            vulnerabilities.append(
-                Vulnerability(
-                    dependency=dependency,
-                    race=race,
-                    description=(
-                        f"{dependency.protected!r} races with authorization "
-                        f"{dependency.authorization!r} ({dependency.point.value} "
-                        "before authorization is possible)"
-                    ),
-                )
+        return [
+            Vulnerability(
+                dependency=dependency,
+                race=Race(dependency.authorization, dependency.protected),
+                description=vulnerability_description(
+                    dependency.authorization, dependency.protected, dependency.point
+                ),
             )
-        return vulnerabilities
+            for dependency in missing_security_dependencies(self, points=points)
+        ]
 
     def is_vulnerable(self) -> bool:
         """``True`` when at least one security dependency is missing."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .edges import Dependency, DependencyKind
 from .nodes import OperationType
@@ -90,17 +90,19 @@ def enforce(graph: TopologicalSortGraph, dependency: SecurityDependency) -> Topo
     return patched
 
 
-def missing_security_dependencies(
+def missing_dependency_triples(
     graph: TopologicalSortGraph,
     points: Optional[List[ProtectionPoint]] = None,
-) -> List[SecurityDependency]:
-    """Find every missing security dependency in an attack graph.
+) -> List[Tuple[str, str, ProtectionPoint]]:
+    """Every missing security dependency as ``(authorization, protected, point)``.
 
     For each authorization vertex and each protected vertex (secret access,
     use, or send -- selectable through ``points``), report a missing
     dependency whenever the two vertices race, i.e. the protected operation
     may complete before the authorization does.  These are exactly the
-    vulnerabilities the paper's Section V-C tool is meant to flag.
+    vulnerabilities the paper's Section V-C tool is meant to flag.  Triples
+    come by point, then by authorization, then by protected vertex, each in
+    insertion order.
     """
     if points is None:
         points = [ProtectionPoint.ACCESS, ProtectionPoint.USE, ProtectionPoint.SEND]
@@ -109,27 +111,33 @@ def missing_security_dependencies(
         for op in graph.operations
         if op.op_type in (OperationType.AUTHORIZATION, OperationType.RESOLUTION)
     ]
-    # One reachability-index lookup per authorization vertex; every
-    # (authorization, protected) pair is then a set-membership test.
-    racing = {auth: graph.racing_partners(auth) for auth in authorizations}
-    missing: List[SecurityDependency] = []
+    triples: List[Tuple[str, str, ProtectionPoint]] = []
     for point in points:
         targets = [op.name for op in graph.operations_of_type(_PROTECTION_TO_OPTYPE[point])]
-        for auth in authorizations:
-            for target in targets:
-                if target in racing[auth]:
-                    missing.append(
-                        SecurityDependency(
-                            authorization=auth,
-                            protected=target,
-                            point=point,
-                            rationale=(
-                                f"{target!r} can complete before {auth!r}: "
-                                "no access/use/send without authorization"
-                            ),
-                        )
-                    )
-    return missing
+        triples.extend(
+            (auth, target, point)
+            for auth, target in graph.racing_pairs_between(authorizations, targets)
+        )
+    return triples
+
+
+def missing_security_dependencies(
+    graph: TopologicalSortGraph,
+    points: Optional[List[ProtectionPoint]] = None,
+) -> List[SecurityDependency]:
+    """:func:`missing_dependency_triples` as :class:`SecurityDependency` records."""
+    return [
+        SecurityDependency(
+            authorization=auth,
+            protected=target,
+            point=point,
+            rationale=(
+                f"{target!r} can complete before {auth!r}: "
+                "no access/use/send without authorization"
+            ),
+        )
+        for auth, target, point in missing_dependency_triples(graph, points)
+    ]
 
 
 def is_vulnerable(graph: TopologicalSortGraph) -> bool:

@@ -1974,7 +1974,7 @@ class Engine:
     # The differential fuzzing plane (repro.fuzz)
     # ======================================================================
     def _run_fuzz_point(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
-        """One generated gadget through both leak oracles.
+        """One generated gadget through the three leak oracles.
 
         The spec pins the generator coordinates and (optionally) the
         program's content hash -- a ``sha`` mismatch means the generator no

@@ -1,7 +1,8 @@
-"""Differential fuzzing over the dual TSG/timing oracles.
+"""Differential fuzzing over the three leak oracles.
 
 ``repro.fuzz`` synthesizes seeded gadget programs (:mod:`.generator`),
-streams them through both of the repo's independent leak oracles as
+streams them through the repo's three independent leak oracles (the TSG
+verdict, the measured transmit/squash race and the decoded byte) as
 checkpointed, resumable campaign grids (:mod:`.campaign`), and pins every
 oracle disagreement -- auto-shrunk to a minimal reproducer -- in a
 regression corpus while bucketing agreements into Table-1-style coverage

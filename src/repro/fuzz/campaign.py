@@ -36,7 +36,7 @@ from .generator import (
 #: Points per explicit sub-grid: the budget-check granularity.
 CHUNK_POINTS = 64
 
-#: Disagreements shrunk per campaign (each shrink re-runs both oracles a
+#: Disagreements shrunk per campaign (each shrink re-runs the oracles a
 #: handful of times; the cap bounds a pathological campaign's tail).
 MAX_SHRINKS = 8
 

@@ -2,12 +2,13 @@
 
 Two kinds of campaign output accumulate here:
 
-* **Disagreements** -- programs on which the TSG and timing oracles
-  answered differently.  Each is auto-shrunk by the campaign and written as
-  a pinned JSON fixture (``disagreement_<sha12>.json``) carrying the
+* **Disagreements** -- programs on which the three oracles (the TSG
+  verdict, the measured race and the decoded byte) did not all agree.
+  Each is auto-shrunk by the campaign and written as a pinned JSON
+  fixture (``disagreement_<sha12>.json``) carrying the
   generator coordinates, the shape, the injection that produced it and the
   program listing.  ``tests/test_fuzz_corpus.py`` auto-loads the directory
-  and replays every fixture against both oracles, so a disagreement, once
+  and replays every fixture against the oracles, so a disagreement, once
   seen, stays a regression case forever.
 * **Agreements** -- bucketed by attack shape (``source/channel/fence``)
   into ``coverage.json``, turning Table-1-style coverage from a hand-curated

@@ -335,9 +335,7 @@ def _timing_verdict(
     if case.shape.source == "bounds_check":
         cpu.write_memory(SECRET_ADDR, secret, 1)
         cpu.write_memory(VICTIM_SIZE_ADDR, VICTIM_ARRAY_LEN, 8)
-        for _ in range(TRAINING_ROUNDS):
-            cpu.set_register("rdx", 1)
-            cpu.run("victim")
+        cpu.train("victim", TRAINING_ROUNDS, rdx=1)
         cpu.context_switch(cpu.context_id + 1)
         channel.prepare()
         if inject != "no_flush":

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..core.security_dependency import ProtectionPoint
+from ..core.attack_graph import vulnerability_description
+from ..core.security_dependency import ProtectionPoint, missing_dependency_triples
 from ..isa.program import Program
 from .builder import BuildResult
 from .classify import MICROARCH_KINDS
@@ -86,7 +87,7 @@ def analyze_build(
 ) -> AnalysisReport:
     """Analyse an already-constructed attack graph (the engine's cold path)."""
     selected_points = list(points) if points is not None else None
-    vulnerabilities = build.graph.find_vulnerabilities(points=selected_points)
+    triples = missing_dependency_triples(build.graph, points=selected_points)
     # A vulnerability is software-patchable when its authorization is a
     # branch: fences can be inserted between a software authorization and
     # the protected access.  When authorization and access are micro-ops of
@@ -99,16 +100,13 @@ def analyze_build(
     )
     findings = [
         Finding(
-            authorization=vulnerability.dependency.authorization,
-            protected_operation=vulnerability.dependency.protected,
-            point=vulnerability.dependency.point,
-            software_patchable=(
-                has_software_authorization
-                and "::" not in vulnerability.dependency.authorization
-            ),
-            description=vulnerability.description,
+            authorization=authorization,
+            protected_operation=protected,
+            point=point,
+            software_patchable=has_software_authorization and "::" not in authorization,
+            description=vulnerability_description(authorization, protected, point),
         )
-        for vulnerability in vulnerabilities
+        for authorization, protected, point in triples
     ]
     return AnalysisReport(
         program_name=build.program.name,

@@ -227,13 +227,13 @@ def measure_service_throughput(
 def measure_fuzz_throughput(count: int = 96, repeats: int = 2) -> Dict[str, object]:
     """The differential fuzzing campaign's end-to-end program rate.
 
-    Runs one seeded ``fuzz_campaign`` (generator -> both oracles per point,
+    Runs one seeded ``fuzz_campaign`` (generator -> three oracles per point,
     serial, no store) and reports programs/second.  The record doubles as
-    the dual-oracle soundness pin: a clean campaign must report *zero*
-    disagreements -- the TSG structural verdict and the cycle-accurate
-    transmit/squash race answering differently on any generated gadget is a
-    correctness regression, not a perf one, and ``repro perf --check``
-    fails on it outright.
+    the three-oracle soundness pin: a clean campaign must report *zero*
+    disagreements -- the TSG structural verdict, the cycle-accurate
+    transmit/squash race and the decoded byte not all agreeing on any
+    generated gadget is a correctness regression, not a perf one, and
+    ``repro perf --check`` fails on it outright.
     """
     from .engine import Engine
 
@@ -390,14 +390,14 @@ GATES: Tuple[Gate, ...] = (
          "engine_results", "service-throughput", "perfect_dedup", "==", True, "{}"),
     Gate("service dedup hit-rate", "engine_results", "service-throughput",
          "dedup_hit_rate", ">=", 0.30, "{:.1%}"),
-    # The two oracles answering differently on a clean campaign is a
+    # The oracles answering differently on a clean campaign is a
     # soundness bug; the rate floor catches an accidental O(n^2) in the
     # generator or harness (perfbench's fuzz-sweep has read 293-501/s).
     Gate("fuzz campaign oracle disagreements", "fuzz_results",
          "fuzz-throughput", "disagreed", "==", 0),
     Gate("fuzz campaign quarantined points", "fuzz_results",
          "fuzz-throughput", "quarantined", "==", 0),
-    Gate("fuzz campaign programs/sec (both oracles)", "fuzz_results",
+    Gate("fuzz campaign programs/sec (three oracles)", "fuzz_results",
          "fuzz-throughput", "points_per_second", ">=", 50.0, "{:.0f}/s"),
     # perfbench's own output check of each workload: oracles agree, resumed
     # envelopes are identical, verdicts match the planted ones, service
@@ -580,7 +580,7 @@ def format_run(run: Dict[str, object]) -> List[str]:
         lines.append(
             f"fuzz campaign ({record['count']} generated programs, "
             f"{record['buckets']} buckets): {record['points_per_second']:.0f} "
-            f"programs/s through both oracles, {record['disagreed']} "
+            f"programs/s through three oracles, {record['disagreed']} "
             f"disagreements, {record['quarantined']} quarantined"
         )
     for record in run.get("perfbench_results", ()):  # type: ignore[union-attr]

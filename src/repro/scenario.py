@@ -153,14 +153,14 @@ KINDS: Dict[str, KindInfo] = {
             "fuzz_point",
             ("seed", "index", "secret", "model", "inject", "sha"),
             required=("seed", "index"),
-            description="one generated gadget through both leak oracles",
+            description="one generated gadget through the three leak oracles",
         ),
         KindInfo(
             "fuzz_campaign",
             ("seed", "count", "secret", "model", "inject", "budget"),
             required=("seed", "count"),
             grid=True,
-            description="a seeded differential fuzzing campaign over both oracles",
+            description="a seeded differential fuzzing campaign over the three oracles",
         ),
     )
 }

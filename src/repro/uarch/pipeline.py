@@ -243,6 +243,18 @@ class SpeculativeCPU:
             faults=list(self.stats.fault_log),
         )
 
+    def train(self, start: Union[int, str], rounds: int, **registers: int) -> None:
+        """Mistrain the predictors (step 1b of the attack): ``rounds`` runs from
+        ``start``, each after writing ``registers``.
+
+        Training leaves predictor, cache and register state behind for the
+        victim run; nothing reads the runs' results.
+        """
+        for _ in range(rounds):
+            for name, value in registers.items():
+                self.set_register(name, value)
+            self.run(start)
+
     def _execute_instruction(self, pc: int, instruction: Instruction) -> Optional[int]:
         """Execute one fetched instruction; ``None`` means the program halted.
 

@@ -11,12 +11,19 @@ timing-directed simulators do:
   state and :class:`~repro.uarch.stats.SimStats` are therefore *identical* to
   a plain ``SpeculativeCPU`` run (property-tested in
   ``tests/test_timing_equivalence.py``).
-* the **timing plane** records every executed instruction as a
+* the **timing plane** records every instruction of the runs it times as a
   :class:`~repro.uarch.timing.ops.DynamicOp` -- its register reads/writes,
   its measured cache latency, the speculation window it ran in, whether it
   was a covert send -- and schedules the stream through the event-driven
   Tomasulo engine (reservation stations, ROB, RAT, heap event queue) to
   produce a cycle-stamped :class:`~repro.uarch.timing.trace.TimingTrace`.
+
+Every :meth:`TimingCPU.run` is timed except the attacker's predictor
+training (:meth:`TimingCPU.train`), which runs on the functional plane
+alone -- the functional warming of sampled simulators.  That is exact: the
+timing plane never changes what executes, so the victim run starts from the
+same state, and a training run opens no speculation window, so its trace
+would hold no race for an oracle to read.
 
 The trace answers what the instruction-budgeted interpreter cannot: *when*
 the squash landed relative to the covert-channel transmit, in cycles -- the
@@ -51,7 +58,13 @@ class TimingResult(ExecutionResult):
 
 
 class TimingCPU(SpeculativeCPU):
-    """A speculative core with a cycle-accurate, event-driven timing plane."""
+    """A speculative core with a cycle-accurate, event-driven timing plane.
+
+    The timing plane records and schedules the runs it times: every
+    :meth:`run` outside :meth:`train`.  Training runs are functional only;
+    they leave the same predictor, cache and register state behind, and
+    nothing reads their traces.
+    """
 
     def __init__(
         self,
@@ -63,7 +76,7 @@ class TimingCPU(SpeculativeCPU):
     ) -> None:
         super().__init__(program, config, supervisor=supervisor)
         self.model = model
-        #: One trace per :meth:`run` call, oldest first.
+        #: One trace per timed :meth:`run` call, oldest first.
         self.traces: List[TimingTrace] = []
         self.last_trace: Optional[TimingTrace] = None
         self.last_ops: List[DynamicOp] = []
@@ -73,6 +86,8 @@ class TimingCPU(SpeculativeCPU):
             for symbol in program.symbols.values()
             if symbol.shared
         ]
+        #: False inside :meth:`train`: runs execute on the functional plane only.
+        self._timed = True
         self._rec_ops: Optional[List[DynamicOp]] = None
         self._rec_windows: List[WindowRecord] = []
         #: (op, instruction) recording stack; transient ops nest inside the
@@ -178,7 +193,7 @@ class TimingCPU(SpeculativeCPU):
     # Execution: the inherited architectural loop, recorded per instruction
     # ==================================================================
     def _execute_instruction(self, pc: int, instruction: Instruction) -> Optional[int]:
-        if self._rec_ops is None:  # pragma: no cover - run() always records
+        if self._rec_ops is None:
             return super()._execute_instruction(pc, instruction)
         self._begin_op(pc, instruction, transient=False)
         try:
@@ -186,17 +201,39 @@ class TimingCPU(SpeculativeCPU):
         finally:
             self._end_op()
 
+    def train(self, start: Union[int, str], rounds: int, **registers: int) -> None:
+        """Mistrain the predictors on the functional plane alone.
+
+        The training runs still go through :meth:`run`, untimed: they record
+        no op, schedule nothing and build no trace, and ``last_trace``,
+        ``traces``, ``last_ops`` and ``last_windows`` keep describing the
+        last timed run.
+        """
+        self._timed = False
+        try:
+            super().train(start, rounds, **registers)
+        finally:
+            self._timed = True
+
     def run(
         self, start: Union[int, str] = 0, max_instructions: Optional[int] = None
     ) -> TimingResult:
-        """Execute from ``start``; returns the result plus its timing trace."""
-        self._rec_ops = []
-        self._rec_windows = []
-        self._op_stack = []
-        self._active_window = None
+        """Execute from ``start``; returns the result plus its timing trace.
+
+        Inside :meth:`train` the run is untimed and its ``trace`` is ``None``.
+        """
+        timed = self._timed
+        if timed:
+            self._rec_ops = []
+            self._rec_windows = []
+            self._op_stack = []
+            self._active_window = None
         result = super().run(start, max_instructions)
-        trace = self._schedule_recorded()
+        trace = self._schedule_recorded() if timed else None
+        # The records live only while a timed run is in flight, so an untimed
+        # run's squashes cannot reach the last timed run's window records.
         self._rec_ops = None
+        self._rec_windows = []
         return TimingResult(
             halted=result.halted,
             instructions=result.instructions,

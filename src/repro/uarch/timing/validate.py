@@ -99,7 +99,8 @@ def timed_exploit(
     """Run one end-to-end exploit on the timing core; returns its ExploitResult.
 
     The result's ``timing`` attribute holds the :class:`TimingTrace` of the
-    victim run (the last :meth:`TimingCPU.run` call the harness made).
+    victim run, the last run the harness timed: predictor training
+    (:meth:`TimingCPU.train`) runs on the functional plane alone.
     ``model`` overrides the timing plane's microarchitectural parameters.
     """
     from functools import partial

@@ -355,7 +355,7 @@ class TestPerfCheck:
         assert "FAIL: grid checkpoint puts per computed point: observed 2.00" in out
         assert "FAIL: disabled-tracer reads during run_grid: observed 5" in out
         assert "single-flight" in out
-        assert "FAIL: fuzz campaign programs/sec (both oracles): observed 1/s" in out
+        assert "FAIL: fuzz campaign programs/sec (three oracles): observed 1/s" in out
         assert "FAIL: fuzz campaign oracle disagreements: observed 2" in out
         assert "FAIL: perfbench service-mixed: outputs correct: observed False" in out
 

@@ -89,3 +89,17 @@ def test_enumeration_check_matches_on_sampled_pair(graph, seed):
     if u == v:
         return
     assert has_race(graph, u, v) == has_race_by_enumeration(graph, u, v, limit=5000)
+
+
+@given(random_dags(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_racing_pairs_between_equals_racing_partners(graph, data):
+    """Sources in the given order, each one's racing targets in insertion order."""
+    sources = data.draw(st.lists(st.sampled_from(graph.vertices)))
+    targets = set(data.draw(st.lists(st.sampled_from(graph.vertices))))
+    assert graph.racing_pairs_between(sources, targets) == [
+        (source, target)
+        for source in sources
+        for target in graph.vertices
+        if target in targets and target in graph.racing_partners(source)
+    ]

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.attacks import Nodes
 from repro.core import (
+    AttackGraph,
     DependencyKind,
     OperationType,
     ProtectionPoint,
@@ -14,6 +16,85 @@ from repro.core import (
     is_vulnerable,
     missing_security_dependencies,
 )
+from repro.core.security_dependency import (
+    _PROTECTION_TO_OPTYPE,
+    missing_dependency_triples,
+)
+
+
+def reference_missing_dependencies(graph, points=None):
+    """The per-authorization name-set loop the triples replaced, verbatim.
+
+    Do not modernize it: it is the order and content oracle for
+    :func:`missing_dependency_triples` and everything built on it.
+    """
+    if points is None:
+        points = [ProtectionPoint.ACCESS, ProtectionPoint.USE, ProtectionPoint.SEND]
+    authorizations = [
+        op.name
+        for op in graph.operations
+        if op.op_type in (OperationType.AUTHORIZATION, OperationType.RESOLUTION)
+    ]
+    racing = {auth: graph.racing_partners(auth) for auth in authorizations}
+    missing = []
+    for point in points:
+        targets = [op.name for op in graph.operations_of_type(_PROTECTION_TO_OPTYPE[point])]
+        for auth in authorizations:
+            for target in targets:
+                if target in racing[auth]:
+                    missing.append(
+                        SecurityDependency(
+                            authorization=auth,
+                            protected=target,
+                            point=point,
+                            rationale=(
+                                f"{target!r} can complete before {auth!r}: "
+                                "no access/use/send without authorization"
+                            ),
+                        )
+                    )
+    return missing
+
+
+@st.composite
+def typed_dags(draw, max_vertices: int = 12):
+    """Random DAGs of random operation types, inserted in a random order."""
+    count = draw(st.integers(min_value=1, max_value=max_vertices))
+    rank = draw(st.permutations(range(count)))
+    graph = AttackGraph(name="random")
+    for i in draw(st.permutations(range(count))):
+        graph.add_vertex(f"v{i}", op_type=draw(st.sampled_from(list(OperationType))))
+    pairs = [(u, v) for u in range(count) for v in range(count) if rank[u] < rank[v]]
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * count)):
+            graph.add_edge(f"v{u}", f"v{v}")
+    return graph
+
+
+@given(
+    graph=typed_dags(),
+    points=st.none() | st.lists(st.sampled_from(list(ProtectionPoint)), unique=True),
+)
+@settings(max_examples=150, deadline=None)
+def test_triples_equal_the_reference_loop(graph, points):
+    reference = reference_missing_dependencies(graph, points)
+    assert missing_security_dependencies(graph, points) == reference
+    assert missing_dependency_triples(graph, points) == [
+        (dependency.authorization, dependency.protected, dependency.point)
+        for dependency in reference
+    ]
+    assert [
+        (vulnerability.dependency, vulnerability.description)
+        for vulnerability in graph.find_vulnerabilities(points)
+    ] == [
+        (
+            dependency,
+            f"{dependency.protected!r} races with authorization "
+            f"{dependency.authorization!r} ({dependency.point.value} "
+            "before authorization is possible)",
+        )
+        for dependency in reference
+    ]
 
 
 class TestSecurityDependency:

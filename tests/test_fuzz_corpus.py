@@ -1,7 +1,7 @@
 """The fuzzing corpus: ingestion mechanics and the pinned regression set.
 
 The second half auto-loads ``corpus/fuzz/`` -- every disagreement fixture
-ever pinned by a campaign replays against both oracles: the generator must
+ever pinned by a campaign replays against the oracles: the generator must
 still build the exact pinned program (sha match), the recorded injection
 must still split the oracles, and the *clean* oracles must still agree on
 the same program.  A fixture, once written, is a regression test forever.

@@ -1,5 +1,5 @@
-"""The seeded gadget generator: determinism, shape space, dual-oracle
-agreement and the shrinker's contract.
+"""The seeded gadget generator: determinism, shape space, three-oracle
+agreement, functional training and the shrinker's contract.
 
 Seed determinism is checked *cross-process* (a spawned interpreter must
 rebuild byte-identical programs -- the property that makes fuzz points
@@ -19,13 +19,17 @@ from pathlib import Path
 
 import pytest
 
+from training_reference import ReferenceTrainedCPU
+
 from repro.fuzz.generator import (
     CHANNELS,
     FENCES,
     FUZZ_SECRET,
     MAX_DELAY,
     SOURCES,
+    TRAINING_ROUNDS,
     GadgetShape,
+    _timing_verdict,
     build_program,
     case_from_shape,
     dual_verdict,
@@ -34,6 +38,8 @@ from repro.fuzz.generator import (
     make_shape,
     shrink_case,
 )
+from repro.uarch.timing import core as timing_core
+from repro.uarch.timing.core import TimingCPU
 from repro.uarch.timing.scheduler import CONTENDED_MODEL, SERIALIZED_MODEL
 
 pytestmark = pytest.mark.fuzz
@@ -128,11 +134,25 @@ class TestShapeSpace:
             assert len(build_program(widened).instructions) == baseline + 1
 
 
+def _recording(cpu_cls, made):
+    """A ``TimingCPU`` factory that keeps every core it builds in ``made``."""
+
+    def make(*args, **kwargs):
+        cpu = cpu_cls(*args, **kwargs)
+        made.append(cpu)
+        return cpu
+
+    return make
+
+
 class TestDualOracleAgreement:
-    def test_sampled_campaign_slice_agrees_everywhere(self):
+    def test_sampled_campaign_slice_agrees_everywhere(self, monkeypatch):
         # Theorem 1 over the whole finite shape space: all 150 shapes under
         # each timing model, with the TSG verdict, the measured race and
-        # the decoded byte agreeing on every one.
+        # the decoded byte agreeing on every one.  Each case is also
+        # replayed with timed training (the reference loop): its training
+        # runs open no window and send nothing, and the victim run's trace,
+        # decoded byte, race and stats equal the functionally trained run's.
         cases = [
             case_from_shape(0, index, shape)
             for index, shape in enumerate(
@@ -149,10 +169,35 @@ class TestDualOracleAgreement:
             "contended": CONTENDED_MODEL,
             "serialized": SERIALIZED_MODEL,
         }
+        made = []
         for name, model in models.items():
             leaks = 0
             for case in cases:
+                monkeypatch.setattr(timing_core, "TimingCPU", _recording(TimingCPU, made))
                 verdict = dual_verdict(case, model=model)
+                cpu = made.pop()
+                monkeypatch.setattr(
+                    timing_core, "TimingCPU", _recording(ReferenceTrainedCPU, made)
+                )
+                measured, recovered, trace = _timing_verdict(
+                    case, secret=FUZZ_SECRET, inject=None, model=model
+                )
+                reference = made.pop()
+                label = (name, case.shape.describe())
+                # The reference's training runs: every trace but the victim's.
+                training_runs = reference.traces[:-1]
+                trained = case.shape.source == "bounds_check"
+                assert len(training_runs) == TRAINING_ROUNDS * trained, label
+                for training in training_runs:
+                    assert training.windows == [], label
+                    assert training.transmit_cycle is None, label
+                assert len(cpu.traces) == 1, label  # only the victim run is timed
+                assert cpu.last_trace.to_dict(include_ops=True) == trace.to_dict(
+                    include_ops=True
+                ), label
+                assert verdict.recovered == recovered, label
+                assert verdict.transmit_beats_squash == measured, label
+                assert cpu.stats == reference.stats, label
                 decoded = verdict.recovered == FUZZ_SECRET
                 assert verdict.tsg_leaks == verdict.transmit_beats_squash == decoded, (
                     name, case.shape.describe(), verdict.to_dict()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from rescan_reference import ReferenceRescanScheduler
 
@@ -122,6 +123,32 @@ class TestTimingCPU:
         window = result.timing.windows[0]
         assert window.kind == "fault"  # address disambiguation delay
         assert result.timing.transmit_beats_squash
+
+    def test_training_is_functional_only(self):
+        cpu = TimingCPU(programs.spectre_v1_program())
+        cpu.write_memory(VICTIM_SIZE_ADDR, VICTIM_ARRAY_LEN, 8)
+        cpu.train("victim", 4, rdx=1)
+        assert cpu.traces == [] and cpu.last_trace is None
+        assert cpu.last_ops == [] and cpu.last_windows == []
+        assert cpu.stats.instructions_retired > 0
+        assert cpu.predictors.direction.has_entry(
+            cpu.program.label_index("victim") + 1
+        )
+
+    def test_train_leaves_the_last_timed_run_alone(self):
+        cpu, result = spectre_v1_victim_run()
+        traces = list(cpu.traces)
+        ops = list(cpu.last_ops)
+        windows = [(window, asdict(window)) for window in cpu.last_windows]
+        assert windows
+        # A training round that opens and squashes a window of its own.
+        cpu.flush_symbol("victim_size")
+        cpu.train("victim", 1, rdx=SECRET_OFFSET)
+        assert cpu.stats.squashes == 2
+        assert cpu.last_trace is result.trace
+        assert cpu.traces == traces
+        assert cpu.last_ops == ops
+        assert [(window, asdict(window)) for window in cpu.last_windows] == windows
 
     def test_traces_accumulate_per_run(self):
         cpu, _ = spectre_v1_victim_run()
