@@ -2,8 +2,8 @@
 
 Asserts the acceptance properties of the ScenarioSpec/ArtifactStore
 redesign: a spec re-run in a *fresh* session is served warm from the disk
-store with byte-identical rows, and legacy Engine methods route through
-the same ``run`` spine.
+store with byte-identical rows, and composite kinds route their points
+through the same ``run`` spine.
 """
 
 from __future__ import annotations
@@ -56,16 +56,18 @@ def test_grid_points_share_the_store_across_sessions(tmp_path, benchmark):
 
 
 @pytest.mark.experiment("E18")
-def test_legacy_methods_route_through_the_spec_spine(benchmark):
-    """Cache-stats acceptance: named methods are spec executions."""
-    def legacy_calls():
+def test_workloads_route_through_the_spec_spine(benchmark):
+    """Cache-stats acceptance: every workload is a spec execution."""
+    def spec_runs():
         with Engine() as engine:
-            engine.simulate("spectre_v1")
-            engine.simulate_sweep(attacks=["spectre_v1"], defenses=[None])
-            engine.ablation("spectre_v1", defenses=[])
+            engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
+            engine.run(
+                ScenarioSpec("simulate_sweep", attacks=["spectre_v1"], defenses=[None])
+            )
+            engine.run(ScenarioSpec("ablation", attack="spectre_v1", defenses=[]))
             return engine.stats()["runs"]
 
-    runs = benchmark(legacy_calls)
+    runs = benchmark(spec_runs)
     assert runs["simulate"] >= 2  # direct + the sweep's row
     assert runs["simulate_sweep"] == 1
     assert runs["ablation"] == 1 and runs["exploit"] >= 1

@@ -1,11 +1,11 @@
 """E21 -- The batch simulation plane: warm-session serving.
 
-Asserts the acceptance properties of ``Engine.simulate_batch``: a
+Asserts the acceptance properties of the ``simulate_batch`` kind: a
 campaign-shaped point list (repeated passes over the registry x defense
 grid -- the shape fuzzing sweeps, resumed campaigns and overlapping
 service traffic produce) is served with rows identical point for point
 to the per-point loop, and the per-point envelopes byte-identical to
-``Engine.simulate`` on an equivalent session.
+per-point ``simulate`` specs on an equivalent session.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Engine, _batch_point_spec
+from repro.scenario import ScenarioSpec
 from repro.uarch.timing.validate import SCENARIOS
 
 
@@ -21,7 +22,8 @@ def test_batch_envelopes_match_per_point_simulate(benchmark):
     """Serial batch envelopes are byte-identical to the per-point loop."""
     points = ["spectre_v1", "meltdown", "spectre_v1",
               {"attack": "lvi", "defenses": ("PREVENT_SPECULATIVE_LOADS",)}]
-    batch = benchmark(lambda: Engine().simulate_batch(points))
+    spec = ScenarioSpec("simulate_batch", points=points)
+    batch = benchmark(lambda: Engine().run(spec))
     loop_engine = Engine()
     loop = [loop_engine.run(_batch_point_spec(point)) for point in points]
     assert [result.to_json() for result in batch.payload] == [
@@ -51,8 +53,8 @@ def test_full_size_batch_sweep_matches_the_sweep_rows():
     ]
     points = base * 5
     with Engine() as engine:
-        batch = engine.simulate_batch(points, parallel=2)
-        sweep = engine.simulate_sweep()
+        batch = engine.run(ScenarioSpec("simulate_batch", points=points), parallel=2)
+        sweep = engine.run(ScenarioSpec("simulate_sweep"))
     by_key = {
         (row["attack"], tuple(row["defenses"])): row for row in sweep.data["rows"]
     }

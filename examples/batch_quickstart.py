@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Quickstart for the batch timing plane: ``Engine.simulate_batch``.
+"""Quickstart for the batch timing plane: a ``simulate_batch`` spec.
 
 A *batch* is a list of timing points -- attack names, optionally with
 per-point defenses / config / secret / model overrides -- served from one
 warm session per pool worker instead of one cold ``run()`` per point.
-The rows and envelopes are exactly what per-point ``simulate`` calls
+The rows and envelopes are exactly what per-point ``simulate`` specs
 would have produced; the batch plane only changes how fast you get them
 (the ``timing-batch`` benchmark enforces a >=10x points/sec floor).
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 
 from repro.engine import Engine
+from repro.scenario import ScenarioSpec
 
 
 def main() -> None:
@@ -36,7 +37,7 @@ def main() -> None:
     # -- 1. One call, one envelope -------------------------------------
     started = time.perf_counter()
     with Engine() as engine:
-        batch = engine.simulate_batch(points, parallel=2)
+        batch = engine.run(ScenarioSpec("simulate_batch", points=points), parallel=2)
     elapsed = time.perf_counter() - started
 
     data = batch.data

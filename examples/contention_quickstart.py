@@ -22,6 +22,7 @@ from dataclasses import replace
 from repro.channels import ContentionChannel, PortContentionSurface
 from repro.channels.contention import WIDE_WINDOW_MODEL
 from repro.engine import Engine
+from repro.scenario import ScenarioSpec
 from repro.uarch.timing import CONTENDED_MODEL, SERIALIZED_MODEL
 from repro.uarch.timing.validate import check_attack
 
@@ -66,7 +67,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n=== window-length ablation (spectre_v1) ===")
     engine = Engine()
-    result = engine.ablate_window(["spectre_v1"])
+    result = engine.run(ScenarioSpec("window_ablation", attacks=["spectre_v1"]))
     for row in result.data["rows"]:
         print(f"  rob={row['rob_size']:>3} rs={row['rs_entries']:>2} "
               f"ports={row['ports']:<10} window={row['window_cycles']:>4} cycles  "

@@ -3,8 +3,9 @@
 
 The session model: create one :class:`repro.engine.Engine`, let it own the
 cached artifacts (attack graphs keyed on ``Program.content_hash()``,
-defense evaluations, synthesized graphs) and its process pool, and route
-every analysis through it -- build once, analyze many, shard the sweeps.
+defense evaluations, synthesized graphs) and its process pool, and run
+every analysis through it as a :class:`repro.scenario.ScenarioSpec` --
+build once, analyze many, shard the sweeps.
 
 Run from the repo root::
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from repro.engine import Engine
 from repro.isa import assemble
+from repro.scenario import ScenarioSpec
 
 LISTING1 = """
 .data
@@ -40,8 +42,8 @@ def main() -> None:
         # -- 1. Build once, analyze many ---------------------------------
         # The first analyze constructs the attack graph; the second is a
         # content-hash cache hit (same Result data, microseconds).
-        cold = engine.analyze(program)
-        warm = engine.analyze(program)
+        cold = engine.run(ScenarioSpec("analyze", program=program))
+        warm = engine.run(ScenarioSpec("analyze", program=program))
         print(f"cold analyze: cache={cold.cache}, vulnerable={not cold.ok}, "
               f"findings={len(cold.data['findings'])}")
         print(f"warm analyze: cache={warm.cache} "
@@ -52,7 +54,8 @@ def main() -> None:
                            name="victim")
         print(f"hashes differ after patching: "
               f"{program.content_hash() != patched.content_hash()}")
-        print(f"patched still vulnerable: {not engine.analyze(patched).ok}")
+        patched_result = engine.run(ScenarioSpec("analyze", program=patched))
+        print(f"patched still vulnerable: {not patched_result.ok}")
 
         # -- 2. Uniform Result envelope ----------------------------------
         # Every analysis returns the same JSON-serializable envelope; this
@@ -63,24 +66,22 @@ def main() -> None:
         # -- 3. Shard the defense matrix over the process pool -----------
         # Rows are sorted by (defense, attack) key, so parallel output is
         # byte-identical to a serial run.
-        matrix = engine.evaluate_matrix(parallel=2)
+        matrix = engine.run(ScenarioSpec("matrix"), parallel=2)
         print(f"\ndefense matrix: {matrix.subject}, "
               f"{matrix.data['effective']} effective pairings, "
               f"every attack defeated: {matrix.ok}")
 
         # -- 4. Sweep the Section V-A attack space ------------------------
         # Structurally identical (source, delay) combinations share one
-        # graph build; the sweep is sharded across workers.
-        space = engine.synthesize(parallel=2)
+        # graph build and verdict, so the sweep runs in process.
+        space = engine.run(ScenarioSpec("synthesize"))
         print(f"attack space: {space.data['combinations']} combinations, "
               f"{space.data['published']} published, "
               f"{space.data['novel']} novel, {space.data['leaking']} leaking")
 
-        # A serial sweep fills the session's own verdict cache instead of the
-        # workers' -- structurally identical combinations dedupe to one build.
-        serial = engine.synthesize(parallel=1)
-        assert serial.data == space.data  # byte-identical rows either way
-        print(f"cache stats after serial sweep: "
+        # Structurally identical combinations dedupe to one verdict in the
+        # session's cache: one miss per (source, delay), hits for the rest.
+        print(f"cache stats after the sweep: "
               f"synth_verdicts={engine.stats()['synth_verdicts']}")
 
 

@@ -15,6 +15,7 @@ through the ``Engine`` session API.
 from __future__ import annotations
 
 from repro.engine import Engine
+from repro.scenario import ScenarioSpec
 from repro.uarch import SimDefense
 from repro.uarch.timing.validate import cross_validate, timed_exploit, validation_report
 
@@ -41,7 +42,10 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n=== ... with speculative loads prevented ===")
     engine = Engine()
-    defended = engine.simulate("spectre_v1", [SimDefense.PREVENT_SPECULATIVE_LOADS])
+    spec = ScenarioSpec(
+        "simulate", attack="spectre_v1", defenses=[SimDefense.PREVENT_SPECULATIVE_LOADS]
+    )
+    defended = engine.run(spec)
     print(f"transmit cycle: {defended.data['transmit_cycle']} "
           f"(squash @{defended.data['squash_cycle']}) -> "
           f"{'leak' if defended.data['transmit_beats_squash'] else 'defended'}")
@@ -49,7 +53,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Simulations are content-hash cached on (attack, config, secret).
     # ------------------------------------------------------------------
-    warm = engine.simulate("spectre_v1", [SimDefense.PREVENT_SPECULATIVE_LOADS])
+    warm = engine.run(spec)
     print(f"repeated simulate: cache={warm.cache} "
           f"(stats: {engine.stats()['simulations']})")
 

@@ -53,7 +53,7 @@ def attack_section(variant: AttackVariant) -> str:
 
 
 def window_ablation_section(result: "Result") -> str:
-    """Render an ``Engine.ablate_window`` envelope as text tables.
+    """Render a ``window_ablation`` envelope as text tables.
 
     One row per (attack, ROB/RS point, port configuration) with the measured
     window length and the transmit/squash race, followed by the
@@ -484,11 +484,13 @@ def defense_matrix_section(
     ``parallel`` to shard the matrix over the engine's process pool.
     """
     from ..engine import default_engine
+    from ..scenario import ScenarioSpec
 
     session = engine if engine is not None else default_engine()
     chosen_defenses = list(defenses) if defenses is not None else list(ALL_DEFENSES)
     chosen_attacks = list(attacks) if attacks is not None else variants()
-    result = session.evaluate_matrix(chosen_defenses, chosen_attacks, parallel)
+    spec = ScenarioSpec("matrix", defenses=chosen_defenses, attacks=chosen_attacks)
+    result = session.run(spec, parallel=parallel)
     verdict = {(row["defense"], row["attack"]): row for row in result.data["rows"]}
     headers = ["Defense"] + [attack.key for attack in chosen_attacks]
     rows: List[List[str]] = []

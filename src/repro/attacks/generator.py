@@ -137,19 +137,17 @@ def novel_combinations(
     sources: Optional[Sequence[SecretSource]] = None,
     delays: Optional[Sequence[DelayMechanism]] = None,
     channels: Optional[Sequence[CovertChannelKind]] = None,
-    parallel: Optional[int] = None,
 ) -> List[SynthesizedAttack]:
     """Combinations of the attack space not used by any published variant.
 
     O(|space|) on the cached key index -- one set lookup per combination.
-    Thin wrapper over :meth:`repro.engine.Engine.novel_combinations` on the
-    default engine: results are sorted by ``(source, delay, channel)`` key
-    and, with ``parallel`` > 1, the lookup is sharded over the process pool
-    (output is identical either way).
+    Results are sorted by ``(source, delay, channel)`` key.
     """
-    from ..engine import default_engine
-
-    return default_engine().novel_combinations(sources, delays, channels, parallel)
+    published = published_keys()
+    attacks = sorted(
+        enumerate_attack_space(sources, delays, channels), key=lambda a: a.key
+    )
+    return [attack for attack in attacks if attack.key not in published]
 
 
 def published_combinations() -> List[SynthesizedAttack]:

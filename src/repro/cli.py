@@ -46,8 +46,7 @@ invocation of the same scenario in a *new process* is served from disk.
 
 Everything the CLI prints can be reproduced programmatically:
 ``Engine().run(ScenarioSpec(...))`` / ``.run_grid(ScenarioGrid(...))``
-return the same envelopes (the named methods ``analyze`` / ``evaluate`` /
-``simulate`` / ... survive as deprecated shims over ``run``).
+return the same envelopes.
 """
 
 from __future__ import annotations
@@ -125,7 +124,9 @@ def _cmd_defenses(_: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     defense = get_defense(args.defense)
     variant = get_attack(args.attack)
-    result = _session(args).evaluate(defense, variant)
+    result = _session(args).run(
+        ScenarioSpec("evaluate", defense=defense, attack=variant)
+    )
     if args.json:
         print(result.to_json())
         return 0 if result.ok else 1
@@ -146,7 +147,8 @@ def _load_program(path: str):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    result = _session(args).analyze(_load_program(args.program))
+    spec = ScenarioSpec("analyze", program=_load_program(args.program))
+    result = _session(args).run(spec)
     if args.json:
         print(result.to_json())
     else:
@@ -155,7 +157,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_patch(args: argparse.Namespace) -> int:
-    result = _session(args).patch(_load_program(args.program))
+    spec = ScenarioSpec("patch", program=_load_program(args.program))
+    result = _session(args).run(spec)
     if args.json:
         print(result.to_json())
         return 0 if result.ok else 1
@@ -180,13 +183,12 @@ def _parse_defenses(names: Optional[Sequence[str]]) -> Optional[List[SimDefense]
 
 
 def _cmd_exploit(args: argparse.Namespace) -> int:
-    if args.name not in EXPLOITS:
-        raise SystemExit(f"unknown exploit {args.name!r}; known: {', '.join(sorted(EXPLOITS))}")
     config = UarchConfig()
     defenses = _parse_defenses(args.defense)
     if defenses:
         config = config.with_defenses(*defenses)
-    result = _session(args).exploit(args.name, config=config, secret=args.secret).payload
+    spec = ScenarioSpec("exploit", exploit=args.name, config=config, secret=args.secret)
+    result = _session(args).run(spec).payload
     print(result)
     print(f"speculative windows: {result.stats.speculative_windows}, "
           f"transient instructions: {result.stats.transient_instructions}, "
@@ -195,9 +197,8 @@ def _cmd_exploit(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    result = _session(args).ablation(
-        args.name, secret=args.secret, parallel=args.parallel
-    )
+    spec = ScenarioSpec("ablation", attack=args.name, secret=args.secret)
+    result = _session(args).run(spec, parallel=args.parallel)
     if args.json:
         print(result.to_json())
         return 0 if result.ok else 1
@@ -1034,6 +1035,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except KeyError as exc:
+        # An unknown attack, defense or exploit name is a user input error:
+        # one clean line, not a traceback.
+        raise SystemExit(exc.args[0] if exc.args else exc)
     except KeyboardInterrupt:
         # The backstop for every subcommand (run has its own richer
         # handler): never a traceback, never a join on a wedged pool.

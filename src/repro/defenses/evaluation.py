@@ -229,20 +229,18 @@ def evaluate_defense_uncached(
     )
 
 
-def evaluate_defense(
-    defense: Defense,
-    variant: AttackVariant,
-    graph: Optional[AttackGraph] = None,
-) -> DefenseEvaluation:
+def evaluate_defense(defense: Defense, variant: AttackVariant) -> DefenseEvaluation:
     """Apply ``defense`` to ``variant``'s attack graph and report the outcome.
 
-    Thin wrapper over :meth:`repro.engine.Engine.evaluate` on the default
-    engine; pairs without an explicit ``graph`` are served from the
-    ``(defense key, attack key)`` cache on warm calls.
+    The payload of an ``evaluate`` spec run on the default engine: warm
+    calls are served from its ``(defense, variant)`` cache.  To evaluate a
+    custom graph, call :func:`evaluate_defense_uncached`.
     """
     from ..engine import default_engine
+    from ..scenario import ScenarioSpec
 
-    return default_engine().evaluate(defense, variant, graph).payload
+    spec = ScenarioSpec("evaluate", defense=defense, attack=variant)
+    return default_engine().run(spec).payload
 
 
 def evaluate_matrix(
@@ -252,14 +250,16 @@ def evaluate_matrix(
 ) -> List[DefenseEvaluation]:
     """Evaluate every defense against every attack variant.
 
-    Thin wrapper over :meth:`repro.engine.Engine.evaluate_matrix`: rows are
+    The payload of a ``matrix`` spec run on the default engine: rows are
     sorted by ``(defense key, attack key)`` and, with ``parallel`` > 1,
     sharded over the engine's process pool -- parallel output is
     byte-identical to serial output.
     """
     from ..engine import default_engine
+    from ..scenario import ScenarioSpec
 
-    return default_engine().evaluate_matrix(defenses, variants, parallel).payload
+    spec = ScenarioSpec("matrix", defenses=defenses, attacks=variants)
+    return default_engine().run(spec, parallel=parallel).payload
 
 
 # ----------------------------------------------------------------------

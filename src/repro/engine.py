@@ -9,8 +9,9 @@ spine:
 
 * :meth:`Engine.run` takes a :class:`~repro.scenario.ScenarioSpec` (kind
   ``analyze`` / ``evaluate`` / ``exploit`` / ``simulate`` / ``patch`` /
-  ``matrix`` / ``synthesize`` / ``exploit_suite`` / ``simulate_sweep`` /
-  ``validate_timing`` / ``window_ablation`` / ``ablation``) and returns one
+  ``fuzz_point`` / ``matrix`` / ``synthesize`` / ``exploit_suite`` /
+  ``simulate_sweep`` / ``simulate_batch`` / ``validate_timing`` /
+  ``window_ablation`` / ``ablation`` / ``fuzz_campaign``) and returns one
   :class:`Result` envelope.  Before executing, the spec's content hash is
   looked up in the session's :class:`~repro.store.ArtifactStore` (pass
   ``store=DiskStore()`` for a cache that survives the process -- the second
@@ -20,12 +21,14 @@ spine:
   (cartesian axes over a base spec, or an explicit point list), serves warm
   points from the store, runs the misses on the execution plane, and
   aggregates one envelope.  A new sweep axis is one ``axes`` entry -- not
-  one new Engine method.  The composite kinds that sweep point kinds
-  (``matrix``, ``simulate_sweep``, ``simulate_batch``, ``window_ablation``,
-  ``ablation``) are explicit grids of those points.
+  one new Engine method.  The composite kinds ``matrix``,
+  ``simulate_sweep``, ``simulate_batch``, ``window_ablation``, ``ablation``
+  and ``fuzz_campaign`` are explicit grids of point specs; ``synthesize``
+  and ``exploit_suite`` run their rows in process, and ``validate_timing``
+  maps its checks over :meth:`Engine.map`.
 
 Beneath the spec layer the session keeps its **content-addressed artifact
-caches** (:meth:`build` / :meth:`analyze` keyed on
+caches** (builds and ``analyze`` reports keyed on
 :meth:`Program.content_hash() <repro.isa.program.Program.content_hash>`,
 ``(defense, variant)``-keyed evaluations, ``(source, delay, channel)``-keyed
 synthesized graphs, ``(attack, config, secret, model)``-keyed timing
@@ -37,12 +40,9 @@ initializer gives every worker process one warm engine, optionally under a
 :class:`FailurePolicy`; parallel output is byte-identical to serial output.
 :meth:`Engine.map` is the generic helper on the same pool.
 
-The named methods (:meth:`analyze`, :meth:`evaluate_matrix`,
-:meth:`simulate_sweep`, :meth:`ablate_window`, ...) survive as thin shims
-that build the equivalent spec and call :meth:`run` -- prefer specs in new
-code.  The legacy free functions (:func:`repro.graphtool.analyze_program`,
-:func:`repro.defenses.evaluate_defense`, ...) delegate to the module-wide
-:func:`default_engine`.
+The paper-facing free functions (:func:`repro.graphtool.analyze_program`,
+:func:`repro.defenses.evaluate_defense`, ...) build their spec and run it
+on the module-wide :func:`default_engine`.
 """
 
 from __future__ import annotations
@@ -90,11 +90,9 @@ from .attacks.base import (
 from .attacks.generator import (
     SynthesizedAttack,
     enumerate_attack_space,
-    published_keys,
     refresh_published_cache,
 )
 from .core.attack_graph import AttackGraph
-from .core.security_dependency import ProtectionPoint
 from .defenses.base import Defense
 from .graphtool.analyzer import AnalysisReport, analyze_build
 from .graphtool.builder import AttackGraphBuilder, BuildResult
@@ -326,8 +324,8 @@ def _chunk_size(points: int, workers: int) -> int:
     """
     return max(1, min(16, -(-points // (4 * workers))))
 #: The parameters one ``simulate_batch`` point may carry -- exactly the
-#: ``simulate`` spec surface, so a point hashes to the spec the same call
-#: would produce through :meth:`Engine.simulate`.
+#: ``simulate`` spec surface, so a point hashes to the spec the same point
+#: would have as a ``simulate`` run.
 _BATCH_POINT_PARAMS = frozenset({"attack", "defenses", "config", "secret", "model"})
 
 
@@ -340,9 +338,9 @@ def _batch_point_spec(
 
     A bare string is an attack name; a mapping may carry any ``simulate``
     parameter, with the batch-level ``secret``/``model`` as defaults.  The
-    resulting spec is content-identical to what the same point would
-    produce through :meth:`Engine.simulate` -- the envelope-identity
-    contract of the batch plane.
+    resulting spec is content-identical to the same point's own
+    ``simulate`` spec -- the envelope-identity contract of the batch
+    plane.
     """
     if isinstance(point, str):
         point = {"attack": point}
@@ -441,14 +439,14 @@ def _store_snapshot(result: Result, aliased: bool) -> Result:
 class Engine:
     """Stateful session facade: declare the scenario, the engine runs it.
 
-    ``parallel`` sets the default worker count for grid execution; every
-    grid method also accepts a per-call ``parallel=`` override.
-    ``parallel=None`` (or 1) means deterministic serial execution
-    in-process.
+    ``parallel`` sets the default worker count for grid execution;
+    :meth:`run`, :meth:`run_grid`, :meth:`iter_grid` and :meth:`map` also
+    accept a per-call ``parallel=`` override.  ``parallel=None`` (or 1)
+    means deterministic serial execution in-process.
 
     ``cache_limit`` bounds every in-memory artifact cache to that many
     entries (oldest-inserted evicted first), so long-running batch consumers
-    of the legacy free functions -- which share the process-global default
+    of the free functions -- which share the process-global default
     engine -- cannot grow memory without bound.  ``cache_limit=None``
     disables eviction.
 
@@ -713,13 +711,14 @@ class Engine:
 
         ``cache`` selects one cache (``builds`` / ``analyses`` /
         ``evaluations`` / ``synth_graphs`` / ``synth_verdicts`` /
-        ``simulations``, plus ``store`` when a spec-level artifact store is
-        plugged in); ``None`` clears everything, including the decoded
-        ``simulate`` points, the registry's published-key index and the
-        shared micro-op expansion cache -- use after mutating the attack
-        registry or the defense catalog.  Every call also shuts down the
-        worker pool: its warm worker engines hold their own copies of these
-        caches, and forked workers snapshot the parent at pool creation.
+        ``simulations`` / ``tsg_verdicts``, plus ``store`` when a spec-level
+        artifact store is plugged in); ``None`` clears everything, including
+        the decoded ``simulate`` points, the registry's published-key index
+        and the shared micro-op expansion cache -- use after mutating the
+        attack registry or the defense catalog.  Every call also shuts down
+        the worker pool: its warm worker engines hold their own copies of
+        these caches, and forked workers snapshot the parent at pool
+        creation.
         """
         self._shutdown_pool()
         stores = self._stores()
@@ -1327,32 +1326,9 @@ class Engine:
         self._store(self._builds, key, build)
         return build
 
-    def analyze(
-        self,
-        program: Program,
-        protected_symbols: Optional[Sequence[str]] = None,
-        points: Optional[Sequence[ProtectionPoint]] = None,
-    ) -> Result:
-        """Run the full Figure 9 flow on a program; warm calls hit the cache.
-
-        Deprecated spelling of ``run(ScenarioSpec("analyze", program=...))``.
-
-        The envelope ``data`` is freshly built per call and safe to mutate;
-        the ``payload`` (:class:`AnalysisReport`) is the shared cached
-        artifact -- treat it as immutable, like every cached build.
-        """
-        return self.run(
-            ScenarioSpec(
-                "analyze",
-                program=program,
-                protected_symbols=(
-                    tuple(protected_symbols) if protected_symbols is not None else None
-                ),
-                points=tuple(points) if points is not None else None,
-            )
-        )
-
     def _run_analyze(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
+        """The Figure 9 flow on one program.  The payload report is the
+        shared cached artifact -- treat it as immutable."""
         program = decode_program(spec.get("program"), spec.get("name"))
         protected_symbols = spec.get("protected_symbols")
         points = decode_points(spec.get("points"))
@@ -1402,33 +1378,6 @@ class Engine:
         )
 
     # -- defense evaluation -------------------------------------------------
-    def evaluate(
-        self,
-        defense: Defense,
-        variant: AttackVariant,
-        graph: Optional[AttackGraph] = None,
-    ) -> Result:
-        """Apply one defense to one attack variant (cached per key pair).
-
-        Deprecated spelling of ``run(ScenarioSpec("evaluate", defense=...,
-        attack=...))``.  Passing an explicit ``graph`` bypasses the
-        declarative path entirely (the graph is an opaque mutable object and
-        is never cached).
-        """
-        if graph is not None:
-            from .defenses.evaluation import evaluate_defense_uncached
-
-            evaluation = evaluate_defense_uncached(defense, variant, graph)
-            return Result(
-                kind="evaluate",
-                subject=f"{defense.key} vs {variant.key}",
-                ok=evaluation.effective,
-                cache="none",
-                data=_evaluation_row(evaluation),
-                payload=evaluation,
-            )
-        return self.run(ScenarioSpec("evaluate", defense=defense, attack=variant))
-
     def _run_evaluate(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
         from .defenses.evaluation import evaluate_defense_uncached
 
@@ -1453,28 +1402,9 @@ class Engine:
             payload=evaluation,
         )
 
-    def evaluate_matrix(
-        self,
-        defenses: Optional[Sequence[Defense]] = None,
-        variants: Optional[Sequence[AttackVariant]] = None,
-        parallel: Optional[int] = None,
-    ) -> Result:
-        """Evaluate every defense against every variant, as a grid.
-
-        Deprecated spelling of ``run(ScenarioSpec("matrix", ...))``.  Rows
-        are sorted by ``(defense key, attack key)`` so serial and parallel
-        runs produce byte-identical output.
-        """
-        return self.run(
-            ScenarioSpec(
-                "matrix",
-                defenses=tuple(defenses) if defenses is not None else None,
-                attacks=tuple(variants) if variants is not None else None,
-            ),
-            parallel=parallel,
-        )
-
     def _run_matrix(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
+        """Every defense against every variant, as a grid of ``evaluate``
+        points sorted by (defense key, attack key)."""
         from .attacks.registry import variants as registry_variants
         from .defenses import ALL_DEFENSES
 
@@ -1571,32 +1501,9 @@ class Engine:
         row.update(verdict)
         return row
 
-    def synthesize(
-        self,
-        sources: Optional[Sequence[SecretSource]] = None,
-        delays: Optional[Sequence[DelayMechanism]] = None,
-        channels: Optional[Sequence[CovertChannelKind]] = None,
-        parallel: Optional[int] = None,
-    ) -> Result:
-        """Sweep the (restricted) attack space.
-
-        Deprecated spelling of ``run(ScenarioSpec("synthesize", ...))``.
-        Rows come back sorted by ``(source, delay, channel)`` key.  The
-        sweep always runs in process: the structural-verdict cache leaves
-        too little work per row for a pool to pay off (``parallel`` is
-        accepted for compatibility).
-        """
-        return self.run(
-            ScenarioSpec(
-                "synthesize",
-                sources=tuple(sources) if sources is not None else None,
-                delays=tuple(delays) if delays is not None else None,
-                channels=tuple(channels) if channels is not None else None,
-            ),
-            parallel=parallel,
-        )
-
     def _run_synthesize(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
+        """The attack-space sweep, in process: the structural-verdict cache
+        leaves too little work per row for a pool to pay off."""
         sources = decode_axis_enums(SecretSource, spec.get("sources"))
         delays = decode_axis_enums(DelayMechanism, spec.get("delays"))
         channels = decode_axis_enums(CovertChannelKind, spec.get("channels"))
@@ -1620,45 +1527,13 @@ class Engine:
             payload=attacks,
         )
 
-    def novel_combinations(
-        self,
-        sources: Optional[Sequence[SecretSource]] = None,
-        delays: Optional[Sequence[DelayMechanism]] = None,
-        channels: Optional[Sequence[CovertChannelKind]] = None,
-        parallel: Optional[int] = None,
-    ) -> List[SynthesizedAttack]:
-        """Unpublished combinations, key-sorted (a set lookup per row, so
-        always in process; ``parallel`` is accepted for compatibility)."""
-        published = published_keys()
-        attacks = sorted(
-            enumerate_attack_space(sources, delays, channels), key=lambda a: a.key
-        )
-        return [attack for attack in attacks if attack.key not in published]
-
     # -- end-to-end exploits -------------------------------------------------
-    def exploit(
-        self,
-        name: str,
-        config: Optional[object] = None,
-        secret: Optional[int] = None,
-    ) -> Result:
-        """Run one end-to-end exploit on the simulator.
-
-        Deprecated spelling of ``run(ScenarioSpec("exploit", exploit=...))``.
-        """
-        return self.run(
-            ScenarioSpec("exploit", exploit=name, config=config, secret=secret)
-        )
-
     def _run_exploit(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
-        from .exploits.harness import DEFAULT_SECRET, EXPLOITS
+        from .exploits.harness import DEFAULT_SECRET, exploit_runner
         from .uarch.config import DEFAULT_CONFIG
 
         name = spec.get("exploit")
-        if name not in EXPLOITS:
-            raise KeyError(
-                f"unknown exploit {name!r}; known: {', '.join(sorted(EXPLOITS))}"
-            )
+        runner = exploit_runner(name)
         secret = decode_secret(spec.get("secret"))
         planted = DEFAULT_SECRET if secret is None else secret
         config = decode_config(spec.get("config"))
@@ -1666,7 +1541,7 @@ class Engine:
         defenses = decode_sim_defenses(spec.get("defenses"))
         if defenses:
             run_config = run_config.with_defenses(*defenses)
-        result = EXPLOITS[name](run_config, planted)
+        result = runner(run_config, planted)
         return Result(
             kind="exploit",
             subject=name,
@@ -1676,42 +1551,22 @@ class Engine:
             payload=result,
         )
 
-    def run_exploits(
-        self,
-        names: Optional[Sequence[str]] = None,
-        config: Optional[object] = None,
-        secret: Optional[int] = None,
-        parallel: Optional[int] = None,
-    ) -> Result:
-        """Run a set of exploits (all by default), in process.
-
-        Deprecated spelling of ``run(ScenarioSpec("exploit_suite", ...))``.
-        ``parallel`` is accepted for compatibility: a pooled suite measured
-        no faster than the serial one.
-        """
-        return self.run(
-            ScenarioSpec(
-                "exploit_suite",
-                exploits=tuple(names) if names is not None else None,
-                config=config,
-                secret=secret,
-            ),
-            parallel=parallel,
-        )
-
     def _run_exploit_suite(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
-        from .exploits.harness import DEFAULT_SECRET, EXPLOITS
+        """A set of exploits (all by default), run in process: a pooled suite
+        measured no faster than the serial one."""
+        from .exploits.harness import DEFAULT_SECRET, EXPLOITS, exploit_runner
         from .uarch.config import DEFAULT_CONFIG
 
         names = spec.get("exploits")
         chosen = list(names) if names is not None else list(EXPLOITS)
         if len(set(chosen)) != len(chosen):
-            raise ValueError("duplicate exploit names in run_exploits")
+            raise ValueError("duplicate exploit names in exploit_suite")
+        runners = [exploit_runner(name) for name in chosen]
         secret = decode_secret(spec.get("secret"))
         planted = DEFAULT_SECRET if secret is None else secret
         config = decode_config(spec.get("config"))
         run_config = config if config is not None else DEFAULT_CONFIG
-        results = [EXPLOITS[name](run_config, planted) for name in chosen]
+        results = [runner(run_config, planted) for runner in runners]
         by_name = dict(zip(chosen, results))
         data = {
             "exploits": len(chosen),
@@ -1728,39 +1583,9 @@ class Engine:
         )
 
     # -- cycle-accurate timing simulation -------------------------------------
-    def simulate(
-        self,
-        attack: str,
-        defenses: Sequence["SimDefense"] = (),
-        *,
-        config: Optional["UarchConfig"] = None,
-        secret: Optional[int] = None,
-        model: Optional["TimingModel"] = None,
-    ) -> Result:
-        """Run one attack end-to-end on the cycle-accurate timing core.
-
-        Deprecated spelling of ``run(ScenarioSpec("simulate", attack=...))``.
-
-        ``attack`` is a registry key (mapped to its representative exploit
-        scenario) or an exploit name.  Runs are content-hash cached: the key
-        is the attack plus the *frozen* simulator config (defenses included),
-        the planted secret and the timing model, so a repeated sweep over the
-        same space is all cache hits.  The envelope reports both verdicts of
-        the paper's race: the functional leak and the measured transmit-vs-
-        squash outcome, plus the Theorem 1 TSG verdict for undefended runs.
-        """
-        return self.run(
-            ScenarioSpec(
-                "simulate",
-                attack=attack,
-                defenses=tuple(defenses) or None,
-                config=config,
-                secret=secret,
-                model=model,
-            )
-        )
-
     def _run_simulate(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
+        """One attack (a registry key or an exploit name) on the timing core,
+        cached on (scenario, config, secret, model)."""
         from .uarch.timing.validate import timed_exploit
 
         attack, scenario, run_config, secret, run_model = self._decode_point(spec)
@@ -1788,35 +1613,9 @@ class Engine:
             payload=result,
         )
 
-    def simulate_sweep(
-        self,
-        attacks: Optional[Sequence[str]] = None,
-        defenses: Optional[Sequence[Optional["SimDefense"]]] = None,
-        secret: Optional[int] = None,
-        parallel: Optional[int] = None,
-        model: Optional["TimingModel"] = None,
-    ) -> Result:
-        """Sweep (attack x defense) timing simulations, as a grid.
-
-        Deprecated spelling of ``run(ScenarioSpec("simulate_sweep", ...))``.
-
-        ``defenses`` defaults to the undefended baseline plus every simulator
-        defense.  ``model`` selects the timing-plane configuration for every
-        run (e.g. the contended reference core).  Rows are sorted by (attack,
-        defense) key; each row is one ``simulate`` grid point.
-        """
-        return self.run(
-            ScenarioSpec(
-                "simulate_sweep",
-                attacks=tuple(attacks) if attacks is not None else None,
-                defenses=tuple(defenses) if defenses is not None else None,
-                secret=secret,
-                model=model,
-            ),
-            parallel=parallel,
-        )
-
     def _run_simulate_sweep(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
+        """(attack x defense) ``simulate`` points as a grid; ``defenses``
+        defaults to no defense plus every simulator defense."""
         from .uarch.defenses import SimDefense
         from .uarch.timing.scheduler import DEFAULT_MODEL
         from .uarch.timing.validate import SCENARIOS
@@ -1872,39 +1671,6 @@ class Engine:
             payload=rows,
         )
 
-    def simulate_batch(
-        self,
-        points: Sequence[object],
-        *,
-        secret: Optional[int] = None,
-        model: Optional["TimingModel"] = None,
-        parallel: Optional[int] = None,
-    ) -> Result:
-        """Run a *list* of timing-simulation points through warm sessions.
-
-        Spelling of ``run(ScenarioSpec("simulate_batch", points=...))``.
-
-        Each point is an attack name or a mapping of ``simulate``
-        parameters (``attack`` / ``defenses`` / ``config`` / ``secret`` /
-        ``model``); the batch-level ``secret``/``model`` fill in per-point
-        gaps.  The batch is an explicit grid of those ``simulate`` points:
-        rows come back *in order*, and served serially each envelope is
-        byte-identical to the per-point :meth:`simulate` call on the same
-        session.  With ``parallel`` > 1 identical points run once and the
-        misses go to the pool's warm worker engines in chunks, with store
-        checkpoints, FaultPlan selection, quarantine and ``worker.point``
-        spans exactly as in any other grid.
-        """
-        return self.run(
-            ScenarioSpec(
-                "simulate_batch",
-                points=tuple(points),
-                secret=secret,
-                model=model,
-            ),
-            parallel=parallel,
-        )
-
     def _decode_point(self, spec: ScenarioSpec) -> Tuple:
         """Decode one ``simulate`` spec to ``(attack, scenario, config,
         secret, model)``, memoized per session.
@@ -1944,6 +1710,8 @@ class Engine:
         return decoded
 
     def _run_simulate_batch(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
+        """A list of ``simulate`` points (attack names or parameter mappings),
+        run as an explicit grid; rows come back in order."""
         shared_secret = spec.get("secret")
         shared_model = spec.get("model")
         point_specs = [
@@ -2098,29 +1866,6 @@ class Engine:
             self.store.put(key, _store_snapshot(result, aliased))
         return result
 
-    def validate_timing(
-        self,
-        parallel: Optional[int] = None,
-        model: Optional["TimingModel"] = None,
-        attacks: Optional[Sequence[str]] = None,
-    ) -> Result:
-        """Cross-check Theorem 1 for every registry attack (timing vs TSG).
-
-        Deprecated spelling of ``run(ScenarioSpec("validate_timing", ...))``.
-
-        ``model`` selects the timing-plane configuration; pass
-        :data:`~repro.uarch.timing.scheduler.CONTENDED_MODEL` to validate
-        the race with bounded FU ports and CDB.
-        """
-        return self.run(
-            ScenarioSpec(
-                "validate_timing",
-                model=model,
-                attacks=tuple(attacks) if attacks is not None else None,
-            ),
-            parallel=parallel,
-        )
-
     def _run_validate_timing(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
         from .uarch.timing.validate import cross_validate
 
@@ -2148,55 +1893,11 @@ class Engine:
             payload=checks,
         )
 
-    def ablate_window(
-        self,
-        attacks: Optional[Sequence[str]] = None,
-        *,
-        window_grid: Optional[Sequence[Tuple[int, int]]] = None,
-        port_configs: Optional[Sequence[Tuple[str, Dict[str, Optional[int]]]]] = None,
-        secret: Optional[int] = None,
-        parallel: Optional[int] = None,
-    ) -> Result:
-        """The paper's window-length ablation, in measured cycles.
-
-        Deprecated spelling of ``run(ScenarioSpec("window_ablation", ...))``.
-
-        Sweeps every attack over a (ROB size, RS entries) x port-configuration
-        grid of :class:`~repro.uarch.timing.scheduler.TimingModel` variants
-        and reports the measured speculation-window length, the transmit /
-        squash race and the port/CDB stall provenance of each run.  Runs ride
-        the :meth:`simulate` content-hash cache (attack x config x secret x
-        model) as one grid point per unique (scenario, model), and rows come
-        back sorted by (attack, ROB, RS, ports) so parallel output is
-        byte-identical to serial output.
-
-        Each port configuration also carries a :class:`~repro.channels.
-        contention.ContentionChannel` transmission: under a bounded
-        configuration the FU-occupancy delta is a nonzero number of cycles
-        (the covert channel works), under the unbounded machine it collapses
-        to zero -- the structural reason the pre-contention timing plane
-        could not measure this channel family.
-        """
-        return self.run(
-            ScenarioSpec(
-                "window_ablation",
-                attacks=tuple(attacks) if attacks is not None else None,
-                window_grid=(
-                    tuple(tuple(point) for point in window_grid)
-                    if window_grid is not None
-                    else None
-                ),
-                port_configs=(
-                    tuple((label, dict(overrides)) for label, overrides in port_configs)
-                    if port_configs is not None
-                    else None
-                ),
-                secret=secret,
-            ),
-            parallel=parallel,
-        )
-
     def _run_window_ablation(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
+        """The paper's window-length ablation, in measured cycles: attacks x
+        (ROB, RS) x port configurations, one ``simulate`` point per unique
+        (scenario, model).  Each port configuration also carries a
+        contention-channel transmit, whose cycle delta is zero unbounded."""
         from .channels.contention import (
             ContentionChannel,
             PortContentionSurface,
@@ -2302,27 +2003,8 @@ class Engine:
         )
 
     # -- program patching and defense ablation --------------------------------
-    def patch(
-        self, program: Program, protected_symbols: Optional[Sequence[str]] = None
-    ) -> Result:
-        """Analyze a program, insert fences, re-analyze (Figure 9 patch flow).
-
-        Deprecated spelling of ``run(ScenarioSpec("patch", program=...))``.
-
-        Both analyses run through this session's artifact cache; the envelope
-        carries the patch summary and the patched listing.
-        """
-        return self.run(
-            ScenarioSpec(
-                "patch",
-                program=program,
-                protected_symbols=(
-                    tuple(protected_symbols) if protected_symbols is not None else None
-                ),
-            )
-        )
-
     def _run_patch(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
+        """Analyze, insert fences, re-analyze (the Figure 9 patch flow)."""
         from .graphtool.patcher import patch_program
 
         program = decode_program(spec.get("program"), spec.get("name"))
@@ -2346,40 +2028,14 @@ class Engine:
             payload=patch,
         )
 
-    def ablation(
-        self,
-        attack: str,
-        defenses: Optional[Sequence["SimDefense"]] = None,
-        secret: Optional[int] = None,
-        config: Optional["UarchConfig"] = None,
-        parallel: Optional[int] = None,
-    ) -> Result:
-        """Run one exploit with no defense, then under each simulator defense.
-
-        Deprecated spelling of ``run(ScenarioSpec("ablation", attack=...))``.
-        The per-defense runs expand to an explicit exploit grid.
-        """
-        return self.run(
-            ScenarioSpec(
-                "ablation",
-                attack=attack,
-                defenses=tuple(defenses) if defenses is not None else None,
-                secret=secret,
-                config=config,
-            ),
-            parallel=parallel,
-        )
-
     def _run_ablation(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
-        from .exploits.harness import AblationRow, DEFAULT_SECRET, EXPLOITS
+        """One exploit with no defense, then under each simulator defense."""
+        from .exploits.harness import AblationRow, DEFAULT_SECRET, exploit_runner
         from .uarch.config import DEFAULT_CONFIG
         from .uarch.defenses import SimDefense
 
         attack = spec.get("attack")
-        if attack not in EXPLOITS:
-            raise KeyError(
-                f"unknown exploit {attack!r}; known: {', '.join(sorted(EXPLOITS))}"
-            )
+        exploit_runner(attack)  # an unknown name fails before the grid runs
         secret = decode_secret(spec.get("secret"))
         planted = DEFAULT_SECRET if secret is None else secret
         config = decode_config(spec.get("config"))
@@ -2453,9 +2109,12 @@ def _simulate_row(
 ) -> Dict[str, object]:
     """One timing-simulation row: functional verdict + measured race.
 
-    ``tsg_memo`` (keyed by attack name) is the session's cache of the
-    Theorem-1 verdict: rebuilding the registry attack graph dominates a
-    warm serve, and the verdict is deterministic per variant.
+    An undefended registry attack also gets its TSG verdict, and
+    ``theorem1_agrees`` holds when the TSG verdict, the race and the
+    decoded byte all agree.  ``tsg_memo`` (keyed by attack name) is the
+    session's cache of the Theorem-1 verdict: rebuilding the registry
+    attack graph dominates a warm serve, and the verdict is deterministic
+    per variant.
     """
     trace = result.timing
     defense_names = sorted(defense.name.lower() for defense in config.defenses)
@@ -2493,7 +2152,9 @@ def _simulate_row(
         tsg_leaks = tsg_memo[attack]
         if tsg_leaks is not None:
             row["tsg_leaks"] = tsg_leaks
-            row["theorem1_agrees"] = tsg_leaks == row["transmit_beats_squash"]
+            row["theorem1_agrees"] = (
+                tsg_leaks == row["transmit_beats_squash"] == row["leaked"]
+            )
     return row
 
 
@@ -2527,13 +2188,13 @@ def _exploit_row(result: "ExploitResult") -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# The default session shared by the legacy free functions
+# The default session shared by the free functions
 # ---------------------------------------------------------------------------
 _DEFAULT_ENGINE: Optional[Engine] = None
 
 
 def default_engine() -> Engine:
-    """The module-wide engine the legacy free functions delegate to.
+    """The module-wide engine the free functions run their specs on.
 
     Never hands out a closed session: if the current default was closed
     (e.g. by ``set_default_engine(None)`` or a ``with`` block), the next

@@ -123,11 +123,15 @@ def analyze_program(
 ) -> AnalysisReport:
     """Run the full Figure 9 flow on a program and report its vulnerabilities.
 
-    Thin wrapper over :meth:`repro.engine.Engine.analyze` on the default
-    engine: repeated analyses of content-identical programs are served from
-    the content-addressed cache.  The returned report is the shared cached
+    The payload of an ``analyze`` spec run on the default engine: repeated
+    analyses of content-identical programs are served from the
+    content-addressed cache.  The returned report is the shared cached
     artifact -- treat it as immutable.
     """
     from ..engine import default_engine
+    from ..scenario import ScenarioSpec
 
-    return default_engine().analyze(program, protected_symbols, points).payload
+    spec = ScenarioSpec(
+        "analyze", program=program, protected_symbols=protected_symbols, points=points
+    )
+    return default_engine().run(spec).payload

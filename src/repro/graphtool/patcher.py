@@ -93,12 +93,17 @@ def patch_program(
     program content, and re-patching is a pure cache hit.
     """
     from ..engine import default_engine
+    from ..scenario import ScenarioSpec
 
     session = engine if engine is not None else default_engine()
-    report_before = session.analyze(program, protected_symbols).payload
+    report_before = session.run(
+        ScenarioSpec("analyze", program=program, protected_symbols=protected_symbols)
+    ).payload
     positions = sorted(_fence_positions(report_before))
     patched = _rebuild_with_fences(program, positions) if positions else program
-    report_after = session.analyze(patched, protected_symbols).payload
+    report_after = session.run(
+        ScenarioSpec("analyze", program=patched, protected_symbols=protected_symbols)
+    ).payload
     unpatchable = tuple(
         str(finding)
         for finding in report_before.findings

@@ -41,7 +41,7 @@ Port/CDB contention is what makes the Section II-C *functional-unit
 contention* covert channels measurable: traces record per-op stall
 provenance (``ready`` / ``port_stall`` / ``cdb_stall``) and per-cycle port
 occupancy, :class:`~repro.channels.contention.ContentionChannel` transmits
-through the occupancy delta, and ``Engine.ablate_window`` sweeps ROB/RS/port
+through the occupancy delta, and a ``window_ablation`` spec sweeps ROB/RS/port
 counts to reproduce the paper's window-length ablation in measured cycles.
 
 How measured windows map onto TSG races
@@ -59,17 +59,18 @@ Each speculation window the functional plane opens becomes a
   (in-flight fills are not recalled by a squash -- the persistence property
   the paper builds covert channels from);
 * ``transmit <= squash`` is the measured race outcome.  Theorem 1 predicts
-  it equals the TSG verdict (send reachable from no authorization), and
-  :func:`~repro.uarch.timing.validate.cross_validate` checks that for every
-  attack in the registry.
+  it equals the TSG verdict (send reachable from no authorization) and the
+  byte the covert channel decodes, and
+  :func:`~repro.uarch.timing.validate.cross_validate` checks all three for
+  every attack in the registry.
 
 Entry points
 ------------
 :class:`TimingCPU` is a drop-in :class:`SpeculativeCPU` (same harness
 helpers, same exploit corpus) whose :meth:`run` returns a
 :class:`TimingResult` carrying the :class:`TimingTrace`.
-``Engine.simulate`` / ``repro simulate`` expose it with content-hash caching
-and sharded (attack x defense) sweeps.
+``simulate`` / ``simulate_sweep`` specs and ``repro simulate`` expose it with
+content-hash caching and sharded (attack x defense) sweeps.
 """
 
 from .core import TimingCPU, TimingResult

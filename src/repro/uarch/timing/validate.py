@@ -6,13 +6,16 @@ authorization's *resolution* exactly when no path orders them.  The timing
 core measures the same race in cycles: the send either issues before the
 squash lands, or it does not.
 
-:func:`cross_validate` runs both sides for every attack in the registry:
+:func:`cross_validate` runs three oracles for every attack in the registry,
+and a check agrees only when all three do:
 
 * the **TSG verdict** -- :func:`repro.defenses.evaluation.attack_succeeds`
-  on the variant's (undefended) attack graph, and
+  on the variant's (undefended) attack graph,
 * the **measured verdict** -- the end-to-end exploit replayed on
   :class:`~repro.uarch.timing.core.TimingCPU`, reporting whether the
-  covert transmit issued at or before the squash cycle.
+  covert transmit issued at or before the squash cycle, and
+* the **decoded byte** -- whether the covert channel recovered the planted
+  secret (``functional_leak``).
 
 Variants without a bespoke simulator program (the OS/VMM Foreshadow
 deployments, the MDS siblings, LVI, TAA, CacheOut, Spoiler) are measured
@@ -60,7 +63,7 @@ SCENARIOS: Dict[str, str] = {
 
 @dataclass(frozen=True)
 class RaceCheck:
-    """Theorem-1 agreement between the TSG and the measured timing for one attack."""
+    """Theorem-1 agreement of the TSG, the measured race and the decoded byte."""
 
     attack: str
     scenario: str
@@ -73,8 +76,8 @@ class RaceCheck:
 
     @property
     def agrees(self) -> bool:
-        """The TSG race verdict matches the measured cycle race."""
-        return self.tsg_leaks == self.transmit_beats_squash
+        """The TSG verdict, the measured race and the decoded byte all agree."""
+        return self.tsg_leaks == self.transmit_beats_squash == self.functional_leak
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -105,15 +108,12 @@ def timed_exploit(
     """
     from functools import partial
 
-    from ...exploits.harness import DEFAULT_SECRET, EXPLOITS
+    from ...exploits.harness import DEFAULT_SECRET, exploit_runner
 
-    if scenario not in EXPLOITS:
-        raise KeyError(
-            f"unknown exploit scenario {scenario!r}; known: {', '.join(sorted(EXPLOITS))}"
-        )
+    runner = exploit_runner(scenario)
     planted = DEFAULT_SECRET if secret is None else secret
     cpu_cls = TimingCPU if model is None else partial(TimingCPU, model=model)
-    return EXPLOITS[scenario](config, planted, cpu_cls=cpu_cls)
+    return runner(config, planted, cpu_cls=cpu_cls)
 
 
 def check_attack(

@@ -8,7 +8,7 @@ Two families of guarantees of the batch timing plane live here:
   pre-mask rescan walk, kept as the fixed point the refactor is
   differentially tested against (random contended models, the paper's
   exploit corpus).
-* **Batch == per-point.**  ``Engine.simulate_batch`` envelopes are
+* **Batch == per-point.**  ``simulate_batch`` envelopes are
   byte-identical (``Result.to_json``) to the same points served one
   :meth:`Engine.run` at a time on an equivalent session.
 
@@ -124,7 +124,7 @@ def batch_points(draw):
 @given(points=batch_points())
 def test_batch_envelopes_byte_identical_to_per_point(points):
     """``simulate_batch`` payload envelopes == the per-point loop, bytewise."""
-    batch = Engine().simulate_batch(points)
+    batch = Engine().run(ScenarioSpec("simulate_batch", points=points))
     loop_engine = Engine()
     loop = [loop_engine.run(_batch_point_spec(point)) for point in points]
     assert [result.to_json() for result in batch.payload] == [
@@ -144,9 +144,10 @@ def test_parallel_batch_rows_match_serial():
         "lvi",
         "spectre_rsb",
     ]
-    serial = Engine().simulate_batch(points)
+    spec = ScenarioSpec("simulate_batch", points=points)
+    serial = Engine().run(spec)
     with Engine() as engine:
-        parallel = engine.simulate_batch(points, parallel=2)
+        parallel = engine.run(spec, parallel=2)
     assert parallel.data["rows"] == serial.data["rows"]
     assert parallel.data["leaking"] == serial.data["leaking"]
     assert parallel.data["unique_simulations"] == serial.data["unique_simulations"]
@@ -168,8 +169,11 @@ def test_batch_spans_emitted_per_point(tmp_path):
     trace_file = tmp_path / "trace.jsonl"
     with Tracer(sink=trace_file) as tracer:
         with Engine(tracer=tracer) as engine:
-            engine.simulate_batch(
-                ["spectre_v1", "meltdown", "spectre_v2", "lvi"], parallel=2
+            engine.run(
+                ScenarioSpec(
+                    "simulate_batch", points=["spectre_v1", "meltdown", "spectre_v2", "lvi"]
+                ),
+                parallel=2,
             )
     records = [
         json.loads(line) for line in trace_file.read_text().splitlines() if line
@@ -187,9 +191,10 @@ def test_supervised_batch_matches_unsupervised():
     from repro.engine import FailurePolicy
 
     points = ["spectre_v1", "meltdown", "spectre_v1", "lvi"]
-    plain = Engine().simulate_batch(points)
+    spec = ScenarioSpec("simulate_batch", points=points)
+    plain = Engine().run(spec)
     with Engine(policy=FailurePolicy(timeout=60.0, retries=1)) as engine:
-        supervised = engine.simulate_batch(points, parallel=2)
+        supervised = engine.run(spec, parallel=2)
     assert supervised.data == plain.data
     assert supervised.ok == plain.ok
 
@@ -208,8 +213,11 @@ def test_supervised_batch_quarantines_a_poisoned_point():
     with Engine(
         policy=FailurePolicy(timeout=60.0, retries=1), faults=plan
     ) as engine:
-        result = engine.simulate_batch(
-            ["spectre_v1", "spectre_rsb", "meltdown"], parallel=2
+        result = engine.run(
+            ScenarioSpec(
+                "simulate_batch", points=["spectre_v1", "spectre_rsb", "meltdown"]
+            ),
+            parallel=2,
         )
     assert not result.ok
     assert result.data["quarantined"] == 1
@@ -225,7 +233,7 @@ def test_supervised_batch_quarantines_a_poisoned_point():
 def test_unsupervised_batch_counts_in_grid_stats():
     """Batch shards ride the same grid accounting as every other grid."""
     engine = Engine()
-    engine.simulate_batch(["spectre_v1", "meltdown"])
+    engine.run(ScenarioSpec("simulate_batch", points=["spectre_v1", "meltdown"]))
     assert engine.stats()["runs"].get("simulate_batch", 0) == 1
 
 

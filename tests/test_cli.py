@@ -136,6 +136,21 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["exploit", "meltdown", "--defense", "tinfoil_hat"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "nope"],
+            ["evaluate", "nope", "spectre_v1"],
+            ["evaluate", "lfence", "nope"],
+            ["simulate", "nope"],
+            ["ablation", "nope"],
+            ["exploit", "nope"],
+        ],
+    )
+    def test_unknown_key_is_a_one_line_error(self, argv):
+        with pytest.raises(SystemExit, match="unknown"):
+            main(argv)
+
     def test_ablation(self, capsys):
         assert main(["ablation", "spectre_v1"]) == 0
         out = capsys.readouterr().out

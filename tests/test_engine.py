@@ -19,6 +19,7 @@ from repro.graphtool.classify import AuthorizationKind
 from repro.graphtool.expansion import expansion_for
 from repro.isa import assemble
 from repro.isa.instructions import Nop
+from repro.scenario import ScenarioSpec
 
 
 @pytest.fixture
@@ -66,8 +67,8 @@ class TestContentHash:
 # ---------------------------------------------------------------------------
 class TestAnalysisCache:
     def test_warm_hit_returns_the_cold_result(self, engine, listing1_program):
-        cold = engine.analyze(listing1_program)
-        warm = engine.analyze(listing1_program)
+        cold = engine.run(ScenarioSpec("analyze", program=listing1_program))
+        warm = engine.run(ScenarioSpec("analyze", program=listing1_program))
         assert (cold.cache, warm.cache) == ("cold", "warm")
         assert warm.payload is cold.payload
         assert warm.data == cold.data
@@ -78,8 +79,8 @@ class TestAnalysisCache:
     def test_cache_hits_equal_cold_builds(self, engine, text_name, request):
         """Property: a warm engine report equals a fresh uncached analysis."""
         program = request.getfixturevalue(f"{text_name}_program")
-        engine.analyze(program)  # prime
-        warm = engine.analyze(program).payload
+        engine.run(ScenarioSpec("analyze", program=program))  # prime
+        warm = engine.run(ScenarioSpec("analyze", program=program)).payload
         from repro.graphtool.analyzer import analyze_build
 
         fresh = analyze_build(AttackGraphBuilder(program, None).build())
@@ -90,11 +91,11 @@ class TestAnalysisCache:
     def test_mutating_envelope_data_does_not_poison_the_cache(
         self, engine, listing1_program
     ):
-        cold = engine.analyze(listing1_program)
+        cold = engine.run(ScenarioSpec("analyze", program=listing1_program))
         pristine_findings = len(cold.data["findings"])
         cold.data["findings"].clear()
         cold.data["vulnerable"] = "tampered"
-        warm = engine.analyze(listing1_program)
+        warm = engine.run(ScenarioSpec("analyze", program=listing1_program))
         assert len(warm.data["findings"]) == pristine_findings
         assert warm.data["vulnerable"] is True
 
@@ -105,43 +106,47 @@ class TestAnalysisCache:
 
         lfence = get_defense("lfence")
         attack = get_attack("spectre_v1")
-        assert engine.evaluate(lfence, attack).ok
+        assert engine.run(ScenarioSpec("evaluate", defense=lfence, attack=attack)).ok
         tweaked = dataclasses.replace(
             lfence, strategy=DefenseStrategy.CLEAR_PREDICTIONS
         )
-        tweaked_result = engine.evaluate(tweaked, attack)
+        tweaked_result = engine.run(
+            ScenarioSpec("evaluate", defense=tweaked, attack=attack)
+        )
         assert tweaked_result.cache == "cold"  # not served from lfence's entry
         assert tweaked_result.data["strategy"] == DefenseStrategy.CLEAR_PREDICTIONS.value
 
     def test_content_identical_programs_share_cache_entries(self, engine):
         one = assemble(LISTING1_TEXT, name="victim")
         two = assemble(LISTING1_TEXT, name="victim")
-        assert engine.analyze(one).cache == "cold"
-        assert engine.analyze(two).cache == "warm"
+        assert engine.run(ScenarioSpec("analyze", program=one)).cache == "cold"
+        assert engine.run(ScenarioSpec("analyze", program=two)).cache == "warm"
 
     def test_mutation_misses_the_cache(self, engine):
         program = assemble(LISTING1_TEXT, name="victim")
-        engine.analyze(program)
+        engine.run(ScenarioSpec("analyze", program=program))
         program.append(Nop())
-        assert engine.analyze(program).cache == "cold"
+        assert engine.run(ScenarioSpec("analyze", program=program)).cache == "cold"
         assert engine.stats()["analyses"]["entries"] == 2
 
     def test_protected_symbols_key_the_cache(self, engine):
         program = assemble(
             ".data\ndata: address=0x1000 size=8\n.text\nmov rax, [data]\nhlt"
         )
-        assert engine.analyze(program).ok
-        widened = engine.analyze(program, protected_symbols=["data"])
+        assert engine.run(ScenarioSpec("analyze", program=program)).ok
+        widened = engine.run(
+            ScenarioSpec("analyze", program=program, protected_symbols=["data"])
+        )
         assert widened.cache == "cold" and not widened.ok
 
     def test_invalidate_drops_entries(self, engine, listing1_program):
-        engine.analyze(listing1_program)
+        engine.run(ScenarioSpec("analyze", program=listing1_program))
         assert engine.invalidate() > 0
         assert engine.stats()["analyses"]["entries"] == 0
-        assert engine.analyze(listing1_program).cache == "cold"
+        assert engine.run(ScenarioSpec("analyze", program=listing1_program)).cache == "cold"
 
     def test_invalidate_single_cache_and_unknown_cache(self, engine, listing1_program):
-        engine.analyze(listing1_program)
+        engine.run(ScenarioSpec("analyze", program=listing1_program))
         assert engine.invalidate("analyses") == 1
         assert engine.stats()["builds"]["entries"] == 1  # untouched
         with pytest.raises(KeyError):
@@ -153,15 +158,15 @@ class TestAnalysisCache:
                 assemble(".text\nhlt", name=f"p{i}") for i in range(3)
             ]
             for program in programs:
-                engine.analyze(program)
+                engine.run(ScenarioSpec("analyze", program=program))
             assert engine.stats()["analyses"]["entries"] == 2
-            assert engine.analyze(programs[0]).cache == "cold"  # evicted
-            assert engine.analyze(programs[2]).cache == "warm"  # retained
+            assert engine.run(ScenarioSpec("analyze", program=programs[0])).cache == "cold"  # evicted
+            assert engine.run(ScenarioSpec("analyze", program=programs[2])).cache == "warm"  # retained
 
     def test_evaluation_cache(self, engine):
         defense, attack = get_defense("lfence"), get_attack("spectre_v1")
-        cold = engine.evaluate(defense, attack)
-        warm = engine.evaluate(defense, attack)
+        cold = engine.run(ScenarioSpec("evaluate", defense=defense, attack=attack))
+        warm = engine.run(ScenarioSpec("evaluate", defense=defense, attack=attack))
         assert (cold.cache, warm.cache) == ("cold", "warm")
         assert cold.ok and warm.payload is cold.payload
 
@@ -186,10 +191,11 @@ class TestExecutionPlane:
 
     @pytest.mark.batch
     def test_sharded_attack_space_is_byte_identical_to_serial(self, engine):
-        serial = engine.synthesize(self.SOURCES, self.DELAYS, self.CHANNELS)
-        parallel = engine.synthesize(
-            self.SOURCES, self.DELAYS, self.CHANNELS, parallel=4
+        spec = ScenarioSpec(
+            "synthesize", sources=self.SOURCES, delays=self.DELAYS, channels=self.CHANNELS
         )
+        serial = engine.run(spec)
+        parallel = engine.run(spec, parallel=4)
         assert serial.data["combinations"] == 18
         assert parallel.to_json() == serial.to_json()
 
@@ -197,23 +203,28 @@ class TestExecutionPlane:
     def test_sharded_matrix_is_byte_identical_to_serial(self, engine):
         defenses = [get_defense(k) for k in ("lfence", "kpti", "invisispec")]
         attacks = [get_attack(k) for k in ("spectre_v1", "meltdown", "fallout")]
-        serial = engine.evaluate_matrix(defenses, attacks)
-        parallel = engine.evaluate_matrix(defenses, attacks, parallel=2)
+        spec = ScenarioSpec("matrix", defenses=defenses, attacks=attacks)
+        serial = engine.run(spec)
+        parallel = engine.run(spec, parallel=2)
         assert parallel.to_json() == serial.to_json()
         assert len(serial.payload) == 9
 
     def test_matrix_rows_are_key_sorted(self, engine):
         defenses = [get_defense(k) for k in ("ssbb", "lfence")]
         attacks = [get_attack(k) for k in ("spectre_v4", "spectre_v1")]
-        rows = engine.evaluate_matrix(defenses, attacks).payload
+        rows = engine.run(
+            ScenarioSpec("matrix", defenses=defenses, attacks=attacks)
+        ).payload
         keys = [(row.defense_key, row.attack_key) for row in rows]
         assert keys == sorted(keys)
 
-    def test_legacy_matrix_wrapper_matches_engine(self):
+    def test_matrix_free_function_matches_engine(self):
         defenses = [get_defense(k) for k in ("lfence", "kpti")]
         attacks = [get_attack(k) for k in ("spectre_v1", "meltdown")]
         legacy = evaluate_matrix(defenses, attacks)
-        engine_rows = default_engine().evaluate_matrix(defenses, attacks).payload
+        engine_rows = default_engine().run(
+            ScenarioSpec("matrix", defenses=defenses, attacks=attacks)
+        ).payload
         assert [(r.defense_key, r.attack_key, r.effective) for r in legacy] == [
             (r.defense_key, r.attack_key, r.effective) for r in engine_rows
         ]
@@ -221,9 +232,11 @@ class TestExecutionPlane:
     def test_serial_matrix_warms_the_session_cache(self, engine):
         defenses = [get_defense(k) for k in ("lfence", "kpti")]
         attacks = [get_attack(k) for k in ("spectre_v1", "meltdown")]
-        engine.evaluate_matrix(defenses, attacks)
+        engine.run(ScenarioSpec("matrix", defenses=defenses, attacks=attacks))
         assert engine.stats()["evaluations"]["entries"] == 4
-        assert engine.evaluate(defenses[0], attacks[0]).cache == "warm"
+        assert engine.run(
+            ScenarioSpec("evaluate", defense=defenses[0], attack=attacks[0])
+        ).cache == "warm"
 
     @pytest.mark.batch
     def test_map_propagates_worker_exceptions(self, engine):
@@ -237,19 +250,29 @@ class TestExecutionPlane:
 
     def test_run_exploits_rejects_duplicate_names(self, engine):
         with pytest.raises(ValueError):
-            engine.run_exploits(names=["spectre_v1", "spectre_v1"])
+            engine.run(
+                ScenarioSpec("exploit_suite", exploits=["spectre_v1", "spectre_v1"])
+            )
 
     @pytest.mark.batch
     def test_sharded_exploits_match_serial(self, engine):
         names = ["spectre_v1", "meltdown"]
-        serial = engine.run_exploits(names=names)
-        parallel = engine.run_exploits(names=names, parallel=2)
+        spec = ScenarioSpec("exploit_suite", exploits=names)
+        serial = engine.run(spec)
+        parallel = engine.run(spec, parallel=2)
         assert serial.data["rows"] == parallel.data["rows"]
         assert serial.ok and parallel.ok  # both leak without defenses
         assert list(parallel.payload) == names
 
     def test_synth_verdicts_dedupe_structural_twins(self, engine):
-        engine.synthesize(self.SOURCES, self.DELAYS, self.CHANNELS)
+        engine.run(
+            ScenarioSpec(
+                "synthesize",
+                sources=self.SOURCES,
+                delays=self.DELAYS,
+                channels=self.CHANNELS,
+            )
+        )
         stats = engine.stats()["synth_verdicts"]
         # 3 sources x 3 delays = 9 structures for 18 combinations.
         assert stats["misses"] == 9 and stats["hits"] == 9
@@ -261,7 +284,7 @@ class TestExecutionPlane:
         from repro.defenses.evaluation import attack_succeeds
 
         attacks = list(enumerate_attack_space())
-        result = engine.synthesize()
+        result = engine.run(ScenarioSpec("synthesize"))
         assert result.data["combinations"] == len(attacks) == 1008
         assert result.data["leaking"] == sum(
             attack_succeeds(attack.build_graph()) for attack in attacks
@@ -273,7 +296,7 @@ class TestExecutionPlane:
 # ---------------------------------------------------------------------------
 class TestResultEnvelope:
     def test_analyze_envelope_round_trips_through_json(self, engine, listing1_program):
-        result = engine.analyze(listing1_program)
+        result = engine.run(ScenarioSpec("analyze", program=listing1_program))
         decoded = json.loads(result.to_json())
         assert decoded["kind"] == "analyze"
         assert decoded["ok"] is False
@@ -281,13 +304,17 @@ class TestResultEnvelope:
         assert decoded["data"]["findings"]
 
     def test_evaluate_envelope(self, engine):
-        result = engine.evaluate(get_defense("lfence"), get_attack("meltdown"))
+        result = engine.run(
+            ScenarioSpec(
+                "evaluate", defense=get_defense("lfence"), attack=get_attack("meltdown")
+            )
+        )
         decoded = json.loads(result.to_json())
         assert decoded["kind"] == "evaluate" and decoded["ok"] is False
         assert decoded["data"]["applicable"] is False
 
     def test_exploit_envelope(self, engine):
-        result = engine.exploit("spectre_v1")
+        result = engine.run(ScenarioSpec("exploit", exploit="spectre_v1"))
         decoded = json.loads(result.to_json())
         assert decoded["kind"] == "exploit"
         assert decoded["ok"] is True
@@ -295,7 +322,26 @@ class TestResultEnvelope:
 
     def test_unknown_exploit_raises(self, engine):
         with pytest.raises(KeyError):
-            engine.exploit("rowhammer")
+            engine.run(ScenarioSpec("exploit", exploit="rowhammer"))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ScenarioSpec("exploit", exploit="nope"),
+            ScenarioSpec("exploit_suite", exploits=["nope"]),
+            ScenarioSpec("ablation", attack="nope"),
+            ScenarioSpec("simulate", attack="nope"),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_unknown_exploit_lists_the_known_ones(self, engine, spec):
+        from repro.exploits import EXPLOITS
+
+        with pytest.raises(KeyError) as caught:
+            engine.run(spec)
+        message = caught.value.args[0]
+        assert message.startswith("unknown exploit 'nope'; known: ")
+        assert message.endswith(", ".join(sorted(EXPLOITS)))
 
     def test_result_is_plain_data(self):
         result = Result(kind="analyze", subject="x", ok=True, cache="none", data={})
@@ -305,7 +351,7 @@ class TestResultEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# Legacy wrappers share the default engine
+# The free functions share the default engine
 # ---------------------------------------------------------------------------
 class TestDefaultEngine:
     def test_analyze_program_routes_through_default_engine(self):
@@ -354,7 +400,8 @@ class TestDefaultEngine:
         engine.close()
         assert engine.map(abs, [-3, 2], parallel=4) == [3, 2]
         assert engine._executor is None  # parallel call did not respawn one
-        assert engine.simulate("spectre_v1").kind == "simulate"
+        result = engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
+        assert result.kind == "simulate"
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +444,15 @@ done:
 # ---------------------------------------------------------------------------
 class TestEngineSimulate:
     def test_simulate_cold_then_warm(self, engine):
-        cold = engine.simulate("spectre_v1")
-        warm = engine.simulate("spectre_v1")
+        cold = engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
+        warm = engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
         assert cold.cache == "cold" and warm.cache == "warm"
         assert cold.data == warm.data
         stats = engine.stats()["simulations"]
         assert stats == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_simulate_envelope_reports_both_verdicts(self, engine):
-        result = engine.simulate("spectre_v1")
+        result = engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
         assert result.kind == "simulate"
         assert result.data["leaked"] is True
         assert result.data["transmit_beats_squash"] is True
@@ -417,9 +464,13 @@ class TestEngineSimulate:
     def test_simulate_key_includes_the_defenses(self, engine):
         from repro.uarch import SimDefense
 
-        engine.simulate("spectre_v1")
-        defended = engine.simulate(
-            "spectre_v1", [SimDefense.PREVENT_SPECULATIVE_LOADS]
+        engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
+        defended = engine.run(
+            ScenarioSpec(
+                "simulate",
+                attack="spectre_v1",
+                defenses=[SimDefense.PREVENT_SPECULATIVE_LOADS],
+            )
         )
         assert defended.cache == "cold"  # different config, different key
         assert defended.data["transmit_beats_squash"] is False
@@ -428,13 +479,14 @@ class TestEngineSimulate:
         assert engine.stats()["simulations"]["entries"] == 2
 
     def test_simulate_accepts_exploit_names(self, engine):
-        result = engine.simulate("mds")
+        result = engine.run(ScenarioSpec("simulate", attack="mds"))
         assert result.data["scenario"] == "mds"
         assert "tsg_leaks" not in result.data  # not a registry key
 
     def test_aliased_attacks_share_one_timing_run(self, engine):
-        engine.simulate("ridl")
-        warm = engine.simulate("zombieload")  # same mds scenario
+        engine.run(ScenarioSpec("simulate", attack="ridl"))
+        # zombieload shares ridl's mds scenario.
+        warm = engine.run(ScenarioSpec("simulate", attack="zombieload"))
         assert warm.cache == "warm"
         assert warm.data["attack"] == "zombieload"  # row still names the alias
         assert engine.stats()["simulations"]["entries"] == 1
@@ -442,9 +494,11 @@ class TestEngineSimulate:
     def test_simulate_model_reaches_the_timing_plane(self, engine):
         from repro.uarch.timing import TimingModel
 
-        default = engine.simulate("spectre_v1")
-        slow_recovery = engine.simulate(
-            "spectre_v1", model=TimingModel(squash_penalty=1000)
+        default = engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
+        slow_recovery = engine.run(
+            ScenarioSpec(
+                "simulate", attack="spectre_v1", model=TimingModel(squash_penalty=1000)
+            )
         )
         assert slow_recovery.cache == "cold"  # model is part of the key
         assert (
@@ -453,17 +507,19 @@ class TestEngineSimulate:
         )
 
     def test_invalidate_simulations(self, engine):
-        engine.simulate("spectre_v1")
+        engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
         assert engine.invalidate("simulations") == 1
         assert engine.stats()["simulations"]["entries"] == 0
 
     def test_sweep_rows_are_key_sorted_and_cached(self, engine):
         from repro.uarch import SimDefense
 
-        sweep = engine.simulate_sweep(
+        spec = ScenarioSpec(
+            "simulate_sweep",
             attacks=["meltdown", "spectre_v1"],
             defenses=[None, SimDefense.PREVENT_SPECULATIVE_LOADS],
         )
+        sweep = engine.run(spec)
         rows = sweep.data["rows"]
         assert [(row["attack"], tuple(row["defenses"])) for row in rows] == sorted(
             (row["attack"], tuple(row["defenses"])) for row in rows
@@ -471,10 +527,7 @@ class TestEngineSimulate:
         assert sweep.data["runs"] == 4
         # Re-sweeping the same grid is pure cache hits.
         before = engine.stats()["simulations"]["misses"]
-        engine.simulate_sweep(
-            attacks=["meltdown", "spectre_v1"],
-            defenses=[None, SimDefense.PREVENT_SPECULATIVE_LOADS],
-        )
+        engine.run(spec)
         assert engine.stats()["simulations"]["misses"] == before
 
     @pytest.mark.batch
@@ -485,9 +538,9 @@ class TestEngineSimulate:
             attacks=["spectre_v1", "meltdown"],
             defenses=[None, SimDefense.NO_SPECULATIVE_FORWARDING],
         )
-        serial = Engine().simulate_sweep(**kwargs)
+        serial = Engine().run(ScenarioSpec("simulate_sweep", **kwargs))
         with Engine() as session:
-            sharded = session.simulate_sweep(parallel=2, **kwargs)
+            sharded = session.run(ScenarioSpec("simulate_sweep", **kwargs), parallel=2)
         assert sharded.data == serial.data
 
     def test_sweep_honors_the_timing_model(self, engine):
@@ -495,9 +548,16 @@ class TestEngineSimulate:
         cache separately from the default-model sweep)."""
         from repro.uarch.timing import SERIALIZED_MODEL
 
-        default = engine.simulate_sweep(attacks=["spectre_v2"], defenses=[None])
-        serialized = engine.simulate_sweep(
-            attacks=["spectre_v2"], defenses=[None], model=SERIALIZED_MODEL
+        default = engine.run(
+            ScenarioSpec("simulate_sweep", attacks=["spectre_v2"], defenses=[None])
+        )
+        serialized = engine.run(
+            ScenarioSpec(
+                "simulate_sweep",
+                attacks=["spectre_v2"],
+                defenses=[None],
+                model=SERIALIZED_MODEL,
+            )
         )
         assert default.data["contended"] is False
         assert serialized.data["contended"] is True
@@ -515,15 +575,15 @@ class TestEngineSimulate:
             defenses=[None],
             model=CONTENDED_MODEL,
         )
-        serial = Engine().simulate_sweep(**kwargs)
+        serial = Engine().run(ScenarioSpec("simulate_sweep", **kwargs))
         with Engine() as session:
-            sharded = session.simulate_sweep(parallel=2, **kwargs)
+            sharded = session.run(ScenarioSpec("simulate_sweep", **kwargs), parallel=2)
         assert sharded.data == serial.data
 
 
 class TestEnginePatchAblation:
     def test_patch_envelope(self, engine, listing1_program):
-        result = engine.patch(listing1_program)
+        result = engine.run(ScenarioSpec("patch", program=listing1_program))
         assert result.kind == "patch"
         assert result.ok is True
         assert result.data["fences_inserted"]
@@ -531,12 +591,12 @@ class TestEnginePatchAblation:
         json.loads(result.to_json())
 
     def test_patch_runs_through_the_session_cache(self, engine, listing1_program):
-        engine.analyze(listing1_program)
-        engine.patch(listing1_program)
+        engine.run(ScenarioSpec("analyze", program=listing1_program))
+        engine.run(ScenarioSpec("patch", program=listing1_program))
         assert engine.stats()["analyses"]["hits"] >= 1
 
     def test_ablation_envelope(self, engine):
-        result = engine.ablation("spectre_v1")
+        result = engine.run(ScenarioSpec("ablation", attack="spectre_v1"))
         assert result.kind == "ablation"
         assert result.data["baseline_leaks"] is True
         assert result.data["effective"] >= 1
@@ -545,15 +605,15 @@ class TestEnginePatchAblation:
 
     def test_ablation_unknown_exploit(self, engine):
         with pytest.raises(KeyError):
-            engine.ablation("rowhammer")
+            engine.run(ScenarioSpec("ablation", attack="rowhammer"))
 
     @pytest.mark.batch
     def test_sharded_ablation_matches_serial(self):
         """ROADMAP open item: the exploit ablation shards over Engine.map
         (via its explicit exploit scenario grid) with identical rows."""
-        serial = Engine().ablation("spectre_v1")
+        serial = Engine().run(ScenarioSpec("ablation", attack="spectre_v1"))
         with Engine() as session:
-            sharded = session.ablation("spectre_v1", parallel=2)
+            sharded = session.run(ScenarioSpec("ablation", attack="spectre_v1"), parallel=2)
         assert sharded.data == serial.data
         assert [row.defense for row in sharded.payload] == [
             row.defense for row in serial.payload
@@ -562,7 +622,11 @@ class TestEnginePatchAblation:
     def test_ablation_routes_through_the_exploit_grid(self, engine):
         from repro.uarch import SimDefense
 
-        engine.ablation("spectre_v1", defenses=[SimDefense.KERNEL_ISOLATION])
+        engine.run(
+            ScenarioSpec(
+                "ablation", attack="spectre_v1", defenses=[SimDefense.KERNEL_ISOLATION]
+            )
+        )
         runs = engine.stats()["runs"]
         assert runs["ablation"] == 1
         assert runs["exploit"] == 2  # baseline + one defended point
@@ -572,10 +636,12 @@ class TestEnginePatchAblation:
         from repro.uarch import UarchConfig
 
         tiny = UarchConfig(speculative_window=1)
-        result = engine.ablation("spectre_v1", defenses=[], config=tiny)
+        result = engine.run(
+            ScenarioSpec("ablation", attack="spectre_v1", defenses=[], config=tiny)
+        )
         assert result.data["baseline_leaks"] is False  # window too small
 
-    def test_legacy_defense_ablation_wrapper_matches_engine(self):
+    def test_defense_ablation_free_function_matches_engine(self):
         from repro.exploits.harness import defense_ablation
         from repro.uarch import SimDefense
 
@@ -608,9 +674,13 @@ class TestAblateWindow:
         assert replace(DEFAULT_MODEL, **configs["serialized"]) == SERIALIZED_MODEL
 
     def test_rows_cover_the_grid_sorted_and_cached(self, engine):
-        result = engine.ablate_window(
-            ["spectre_v1"], window_grid=self.GRID, port_configs=self.PORTS
+        spec = ScenarioSpec(
+            "window_ablation",
+            attacks=["spectre_v1"],
+            window_grid=self.GRID,
+            port_configs=self.PORTS,
         )
+        result = engine.run(spec)
         assert result.kind == "window_ablation"
         rows = result.data["rows"]
         assert len(rows) == len(self.GRID) * len(self.PORTS)
@@ -619,16 +689,19 @@ class TestAblateWindow:
         json.loads(result.to_json())
         # Re-running the same grid is pure cache hits.
         before = engine.stats()["simulations"]["misses"]
-        engine.ablate_window(
-            ["spectre_v1"], window_grid=self.GRID, port_configs=self.PORTS
-        )
+        engine.run(spec)
         assert engine.stats()["simulations"]["misses"] == before
 
     def test_small_window_closes_the_spectre_v1_race(self, engine):
         """The paper's ablation reproduced in cycles: at (4, 2) the send can
         no longer issue before the stalled bounds check resolves."""
-        result = engine.ablate_window(
-            ["spectre_v1"], window_grid=self.GRID, port_configs=self.PORTS
+        result = engine.run(
+            ScenarioSpec(
+                "window_ablation",
+                attacks=["spectre_v1"],
+                window_grid=self.GRID,
+                port_configs=self.PORTS,
+            )
         )
         by_key = {
             (r["rob_size"], r["rs_entries"], r["ports"]): r
@@ -645,8 +718,13 @@ class TestAblateWindow:
         """Acceptance criterion: the contention channel's transmit is a
         nonzero cycle delta under every bounded port configuration, and
         exactly zero on the unbounded machine."""
-        result = engine.ablate_window(
-            ["spectre_v1"], window_grid=[(16, 8)], port_configs=self.PORTS
+        result = engine.run(
+            ScenarioSpec(
+                "window_ablation",
+                attacks=["spectre_v1"],
+                window_grid=[(16, 8)],
+                port_configs=self.PORTS,
+            )
         )
         channel_rows = {row["ports"]: row for row in result.data["contention_channel"]}
         assert channel_rows["unbounded"]["cycle_delta"] == 0
@@ -664,9 +742,9 @@ class TestAblateWindow:
                 "alu_ports": 1, "load_store_ports": 1, "branch_ports": 1,
                 "mul_ports": 1, "cdb_width": 1})],
         )
-        serial = Engine().ablate_window(**kwargs)
+        serial = Engine().run(ScenarioSpec("window_ablation", **kwargs))
         with Engine() as session:
-            sharded = session.ablate_window(parallel=2, **kwargs)
+            sharded = session.run(ScenarioSpec("window_ablation", **kwargs), parallel=2)
         assert sharded.data == serial.data
 
     @pytest.mark.batch
@@ -674,10 +752,13 @@ class TestAblateWindow:
         """ridl and zombieload share the mds scenario: the parallel ablation
         must run one grid point per unique (scenario, model), not per alias."""
         with Engine() as session:
-            result = session.ablate_window(
-                ["ridl", "zombieload"],
-                window_grid=self.GRID,
-                port_configs=self.PORTS,
+            result = session.run(
+                ScenarioSpec(
+                    "window_ablation",
+                    attacks=["ridl", "zombieload"],
+                    window_grid=self.GRID,
+                    port_configs=self.PORTS,
+                ),
                 parallel=2,
             )
         expected_models = len(self.GRID) * len(self.PORTS)
@@ -690,7 +771,7 @@ class TestAblateWindow:
         from repro.attacks.registry import keys as registry_keys
         from repro.engine import DEFAULT_PORT_CONFIGS, DEFAULT_WINDOW_GRID
 
-        result = Engine().ablate_window()
+        result = Engine().run(ScenarioSpec("window_ablation"))
         expected = (
             len(set(registry_keys()))
             * len(DEFAULT_WINDOW_GRID)
@@ -781,7 +862,7 @@ class TestOnePlane:
 
     def test_full_invalidate_clears_point_decodes(self):
         with Engine() as engine:
-            engine.simulate("spectre_v1")
+            engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
             assert engine._point_decodes
             engine.invalidate()
             assert not engine._point_decodes
@@ -879,15 +960,17 @@ class TestOnePlane:
         plan = FaultPlan([FaultSpec(kind="exception", match="attack='meltdown'")])
         with Engine(parallel=2, policy=_policy(), faults=plan) as engine:
             if composite == "sweep":
-                result = engine.simulate_sweep(
-                    attacks=["meltdown", "spectre_v1"], defenses=[None]
+                spec = ScenarioSpec(
+                    "simulate_sweep", attacks=["meltdown", "spectre_v1"], defenses=[None]
                 )
             else:
-                result = engine.ablate_window(
-                    ["meltdown", "spectre_v1"],
+                spec = ScenarioSpec(
+                    "window_ablation",
+                    attacks=["meltdown", "spectre_v1"],
                     window_grid=[(16, 8)],
                     port_configs=[("unbounded", {})],
                 )
+            result = engine.run(spec)
         assert result.ok is False
         assert result.data["quarantined"] == 1
         rows = result.data["rows"]

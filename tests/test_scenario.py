@@ -332,14 +332,6 @@ class TestDecoderProperties:
 # run(spec) / run_grid(grid) — the engine spine
 # ---------------------------------------------------------------------------
 class TestRunSpine:
-    def test_run_spec_equals_legacy_method(self):
-        with Engine() as engine:
-            via_spec = engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
-        with Engine() as engine:
-            via_method = engine.simulate("spectre_v1")
-        assert via_spec.data == via_method.data
-        assert via_spec.kind == via_method.kind == "simulate"
-
     def test_run_declarative_analyze_from_source_text(self):
         result = Engine().run(
             ScenarioSpec("analyze", program=LISTING1, name="victim")
@@ -348,16 +340,22 @@ class TestRunSpine:
         assert result.data["vulnerable"] is True
         assert result.data["program"] == "victim"
 
-    def test_legacy_methods_route_through_run(self):
+    def test_every_workload_routes_through_run(self):
         """Acceptance criterion: every named workload is a spec execution."""
         with Engine() as engine:
             program = assemble(LISTING1, name="victim")
-            engine.analyze(program)
-            engine.evaluate(get_defense("lfence"), __import__("repro").attacks.get("spectre_v1"))
-            engine.simulate("spectre_v1")
-            engine.exploit("spectre_v1")
-            engine.patch(program)
-            engine.ablation("spectre_v1", defenses=[])
+            engine.run(ScenarioSpec("analyze", program=program))
+            engine.run(
+                ScenarioSpec(
+                    "evaluate",
+                    defense=get_defense("lfence"),
+                    attack=__import__("repro").attacks.get("spectre_v1"),
+                )
+            )
+            engine.run(ScenarioSpec("simulate", attack="spectre_v1"))
+            engine.run(ScenarioSpec("exploit", exploit="spectre_v1"))
+            engine.run(ScenarioSpec("patch", program=program))
+            engine.run(ScenarioSpec("ablation", attack="spectre_v1", defenses=[]))
             runs = engine.stats()["runs"]
         assert runs["analyze"] == 3  # patch re-analyzes (before + after) via run()
         assert runs["evaluate"] == 1
@@ -368,10 +366,15 @@ class TestRunSpine:
 
     def test_grid_runs_route_through_run(self):
         with Engine() as engine:
-            engine.simulate_sweep(attacks=["spectre_v1"], defenses=[None])
-            engine.evaluate_matrix(
-                [get_defense("lfence")],
-                [__import__("repro").attacks.get("spectre_v1")],
+            engine.run(
+                ScenarioSpec("simulate_sweep", attacks=["spectre_v1"], defenses=[None])
+            )
+            engine.run(
+                ScenarioSpec(
+                    "matrix",
+                    defenses=[get_defense("lfence")],
+                    attacks=[__import__("repro").attacks.get("spectre_v1")],
+                )
             )
             runs = engine.stats()["runs"]
         assert runs["simulate_sweep"] == 1

@@ -11,6 +11,7 @@ import pytest
 
 from repro.attacks.registry import keys
 from repro.engine import Engine
+from repro.scenario import ScenarioSpec
 from repro.uarch import SimDefense, UarchConfig
 from repro.uarch.timing import CONTENDED_MODEL, SERIALIZED_MODEL
 from repro.uarch.timing.validate import (
@@ -69,8 +70,31 @@ class TestTheorem1CrossValidation:
         assert "2/2 attacks agree" in text
         assert "spectre_v1" in text and "meltdown" in text
 
+    def test_agreement_needs_the_decoded_byte(self):
+        """Theorem 1 holds only when TSG, race and decoded byte all agree."""
+        from dataclasses import replace
+
+        check = check_attack("spectre_v1")
+        assert check.agrees
+        assert not replace(check, functional_leak=not check.functional_leak).agrees
+
+    def test_simulate_row_agreement_needs_the_decoded_byte(self):
+        from dataclasses import replace
+
+        from repro.engine import _simulate_row
+
+        result = Engine().run(ScenarioSpec("simulate", attack="spectre_v1")).payload
+        wrong_byte = replace(result, recovered=result.secret ^ 0xFF)
+        config = UarchConfig()
+        row = _simulate_row("spectre_v1", "spectre_v1", config, result, {})
+        flipped = _simulate_row("spectre_v1", "spectre_v1", config, wrong_byte, {})
+        assert row["leaked"] and row["theorem1_agrees"]
+        assert not flipped["leaked"]
+        assert flipped["transmit_beats_squash"] == row["transmit_beats_squash"]
+        assert not flipped["theorem1_agrees"]
+
     def test_engine_validate_timing_envelope(self):
-        result = Engine().validate_timing()
+        result = Engine().run(ScenarioSpec("validate_timing"))
         assert result.kind == "simulate"
         assert result.ok is True
         assert result.data["agreeing"] == result.data["attacks"] == len(keys())
@@ -118,7 +142,7 @@ class TestTheorem1UnderContention:
         assert contended.transmit_cycle >= base.transmit_cycle
 
     def test_engine_validate_timing_contended_envelope(self):
-        result = Engine().validate_timing(model=CONTENDED_MODEL)
+        result = Engine().run(ScenarioSpec("validate_timing", model=CONTENDED_MODEL))
         assert result.ok is True
         assert result.data["contended"] is True
         assert result.data["disagreeing"] == []
@@ -131,8 +155,8 @@ class TestFullTimingSweep:
     @pytest.mark.batch
     def test_sweep_covers_the_grid_and_matches_serial(self):
         with Engine() as engine:
-            sharded = engine.simulate_sweep(parallel=2)
-        serial = Engine().simulate_sweep()
+            sharded = engine.run(ScenarioSpec("simulate_sweep"), parallel=2)
+        serial = Engine().run(ScenarioSpec("simulate_sweep"))
         assert sharded.data == serial.data
         grid = len(SCENARIOS) * (len(SimDefense) + 1)
         assert sharded.data["runs"] == grid
